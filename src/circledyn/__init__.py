@@ -11,7 +11,6 @@ from .algebra import (
     conjugate,
     critical_points,
     derivative,
-    eval_map,
     even_part_lift,
 )
 from .parser import format_map, map_from_coeff_json, parse_map
@@ -30,7 +29,6 @@ __all__ = [
     "conjugate",
     "critical_points",
     "derivative",
-    "eval_map",
     "even_part_lift",
     "format_map",
     "map_from_coeff_json",

@@ -4,6 +4,20 @@ Coefficient arrays are 1-D complex numpy arrays in ascending powers.  The
 point at infinity is handled exclusively through the reciprocal chart
 w = 1/z (conjugation by the inversion Moebius map), never through
 large-magnitude surrogates, so fixed points and poles at infinity are exact.
+
+The sphere bookkeeping every later stage needs lives here, once:
+
+- the chart rule: a point is read in the chart w = 1/z when it is infinity
+  or |z| > 1, and in the plane chart otherwise (`chart_split`, on arrays,
+  with infinity read as w = 0); a map is read in a pair of charts through
+  `chart_coeffs`, and a single point is flipped by `invert_point`;
+- the chordal metric, as the scalar `chordal_distance` and the one-to-many
+  array form `chordal_distances`, which round identically;
+- the coefficient kernels `pad_coeffs`, `deriv_coeffs`, `series_quotient`
+  and the root clustering `cluster_roots`.
+
+Arrays of sphere points are complex arrays in which any non-finite entry
+is the point at infinity (`sphere_array`).
 """
 
 from __future__ import annotations
@@ -92,6 +106,95 @@ def chordal_distance(p, q) -> float:
     return 2.0 * abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
 
 
+# The array kernels below round exactly as the scalar code they stand in
+# for: np.hypot and np.float_power call the same libm routines as Python's
+# abs(complex) and x ** 2, while np.abs and ** on arrays round differently.
+
+
+def _modulus(z):
+    return np.hypot(z.real, z.imag)
+
+
+def sphere_array(points) -> np.ndarray:
+    """Sphere points (SpherePoint, complex or None) as a complex array, with
+    infinity stored as complex(inf, 0)."""
+    return np.fromiter(
+        (
+            complex(math.inf, 0.0) if p.infinite else complex(p.re, p.im)
+            for p in map(SpherePoint.of, points)
+        ),
+        dtype=complex,
+    )
+
+
+def _reciprocal(z) -> np.ndarray:
+    """Elementwise 1/z for finite nonzero z, rounded as Python's complex
+    division (Smith's algorithm), which numpy's division is not."""
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        wide = np.abs(x) >= np.abs(y)
+        r1 = y / x
+        d1 = x + y * r1
+        r2 = x / y
+        d2 = x * r2 + y
+        out = np.empty(z.shape, dtype=complex)
+        out.real = np.where(wide, (1.0 + 0.0 * r1) / d1, (r2 + 0.0) / d2)
+        out.imag = np.where(wide, (0.0 - r1) / d1, (0.0 * r2 - 1.0) / d2)
+    return out
+
+
+def chart_split(z):
+    """The chart rule on an array of sphere points: (inverted, w).
+
+    A point is read in the chart w = 1/z when it is infinity or |z| > 1, and
+    as w = z otherwise; infinity is w = 0."""
+    z = np.asarray(z, dtype=complex)
+    finite = np.isfinite(z)
+    with np.errstate(invalid="ignore"):
+        inverted = ~finite | (_modulus(z) > 1.0)
+    w = z.copy()
+    w[inverted] = _reciprocal(z[inverted])
+    w[~finite] = 0.0
+    return inverted, w
+
+
+def invert_point(p) -> SpherePoint:
+    """The point 1/p on the sphere: 0 and infinity trade places."""
+    p = SpherePoint.of(p)
+    if p.infinite:
+        return SpherePoint.finite(0.0)
+    v = p.value
+    if v == 0:
+        return INF
+    return SpherePoint.of(1.0 / v)
+
+
+def chordal_distances(p, zs) -> np.ndarray:
+    """Chordal distances from one sphere point to each of an array of them;
+    equal bit for bit to `chordal_distance` pair by pair."""
+    p = SpherePoint.of(p)
+    zs = np.asarray(zs, dtype=complex)
+    infinite = ~np.isfinite(zs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        lift = 1.0 + np.float_power(_modulus(zs), 2)
+        if p.infinite:
+            out = 2.0 / np.sqrt(lift)
+            out[infinite] = 0.0
+            return out
+        a = p.value
+        lift_a = 1.0 + abs(a) ** 2
+        out = 2.0 * _modulus(a - zs) / np.sqrt(lift_a * lift)
+    out[infinite] = 2.0 / math.sqrt(lift_a)
+    return out
+
+
+def first_within(p, zs, tol: float) -> int:
+    """Index of the first of zs within chordal distance tol of p, or -1."""
+    hits = np.flatnonzero(chordal_distances(p, zs) <= tol)
+    return int(hits[0]) if hits.size else -1
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -125,10 +228,7 @@ class Poly:
         return polyval(self.coeffs, z)
 
     def deriv(self) -> "Poly":
-        if self.degree == 0:
-            return Poly([0.0])
-        n = np.arange(1, len(self.coeffs))
-        return Poly(self.coeffs[1:] * n)
+        return Poly(deriv_coeffs(self.coeffs))
 
     def __add__(self, other):
         a, b = self.coeffs, as_poly(other).coeffs
@@ -200,6 +300,64 @@ def polyval(coeffs, z):
     for c in coeffs[::-1]:
         acc = acc * z + c
     return acc
+
+
+# ---------------------------------------------------------------------------
+# coefficient kernels
+
+
+def pad_coeffs(c, n: int) -> np.ndarray:
+    """Coefficients c zero-padded to length n."""
+    out = np.zeros(n, dtype=complex)
+    out[: len(c)] = c
+    return out
+
+
+def deriv_coeffs(c) -> np.ndarray:
+    """Coefficients of the derivative; a constant gives [0]."""
+    if len(c) <= 1:
+        return np.zeros(1, dtype=complex)
+    return c[1:] * np.arange(1, len(c))
+
+
+def series_quotient(num, den, order: int) -> np.ndarray:
+    """Power series num/den to the given order (den[0] must be nonzero);
+    both arguments hold at least order + 1 coefficients."""
+    inv = np.zeros(order + 1, dtype=complex)
+    inv[0] = 1.0 / den[0]
+    for k in range(1, order + 1):
+        inv[k] = -np.dot(den[1 : k + 1], inv[k - 1 :: -1][:k]) / den[0]
+    return np.convolve(num, inv)[: order + 1]
+
+
+def cluster_roots(z: np.ndarray, radius: float):
+    """Group near-coincident roots: (centers, multiplicities), sorted.
+
+    In lexicographic order, each root not yet taken gathers every untaken
+    root within radius * max(1, |root|) of it; the group's mean is a
+    center and its size the multiplicity."""
+    if z.size == 0:
+        return np.zeros(0, dtype=complex), []
+    z = z[np.lexsort((z.imag, z.real))]
+    centers = []
+    mult = []
+    used = np.zeros(len(z), dtype=bool)
+    for i in range(len(z)):
+        if used[i]:
+            continue
+        sel = ~used & (_modulus(z - z[i]) <= radius * max(1.0, abs(z[i])))
+        sel[i] = True
+        used |= sel
+        centers.append(np.mean(z[sel]))
+        mult.append(int(np.sum(sel)))
+    return sorted_roots(centers, mult)
+
+
+def sorted_roots(z, mult):
+    """Roots in lexicographic (real, imag) order, with their multiplicities."""
+    z = np.asarray(z, dtype=complex)
+    order = np.lexsort((z.imag, z.real))
+    return z[order], [mult[k] for k in order]
 
 
 # ---------------------------------------------------------------------------
@@ -286,35 +444,17 @@ class RationalMap:
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree)
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
     def __call__(self, z) -> SpherePoint:
         z = SpherePoint.of(z)
         if z.infinite:
             g = self.reciprocal_chart()
             img = _eval_finite(g.num, g.den, 0.0 + 0.0j)
-            return _invert_point(img)
+            return invert_point(img)
         return _eval_finite(self.num, self.den, z.value)
 
     def reciprocal_chart(self) -> "RationalMap":
         """Conjugate by z -> 1/z (so infinity becomes the origin)."""
-        d = self.degree
-        n = _pad(self.num.coeffs, d + 1)[::-1]
-        m = _pad(self.den.coeffs, d + 1)[::-1]
-        return RationalMap(m, n, reduce=True)
-
-    def compose_inversion(self) -> "RationalMap":
-        """The map f(1/w) as a rational map of w."""
-        d = self.degree
-        n = _pad(self.num.coeffs, d + 1)[::-1]
-        m = _pad(self.den.coeffs, d + 1)[::-1]
-        return RationalMap(n, m, reduce=True)
-
-    def postcompose_inversion(self) -> "RationalMap":
-        """The map 1/f(z)."""
-        return RationalMap(self.den, self.num, reduce=False)
+        return RationalMap(*chart_coeffs(self, True, True), reduce=True)
 
     def derivative_at(self, z: complex) -> complex:
         """f'(z) by the quotient rule, without building the derivative map."""
@@ -331,10 +471,15 @@ class RationalMap:
         return f"RationalMap(num={self.num!r}, den={self.den!r})"
 
 
-def _pad(c, n):
-    out = np.zeros(n, dtype=complex)
-    out[: len(c)] = c
-    return out
+def chart_coeffs(f: RationalMap, in_inverted: bool, out_inverted: bool):
+    """Numerator and denominator coefficients (length deg f + 1) of f read
+    from one chart to another: True reads that side in the chart w = 1/z."""
+    d = f.degree
+    n = pad_coeffs(f.num.coeffs, d + 1)
+    m = pad_coeffs(f.den.coeffs, d + 1)
+    if in_inverted:
+        n, m = n[::-1].copy(), m[::-1].copy()
+    return (m, n) if out_inverted else (n, m)
 
 
 def _eval_finite(num: Poly, den: Poly, z: complex) -> SpherePoint:
@@ -346,15 +491,6 @@ def _eval_finite(num: Poly, den: Poly, z: complex) -> SpherePoint:
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         return INF
     return SpherePoint.of(w)
-
-
-def _invert_point(p: SpherePoint) -> SpherePoint:
-    if p.infinite:
-        return SpherePoint.finite(0.0)
-    v = p.value
-    if v == 0:
-        return INF
-    return SpherePoint.of(1.0 / v)
 
 
 def _normalize_pair(num: Poly, den: Poly):
@@ -397,11 +533,6 @@ def _reduce_pair(num: Poly, den: Poly):
 # map-level operations
 
 
-def eval_map(f: RationalMap, z) -> SpherePoint:
-    """Evaluate f at a sphere point (total for degree >= 1)."""
-    return f(z)
-
-
 def derivative(f: RationalMap) -> RationalMap:
     """Quotient-rule derivative, reduced to coprime form."""
     n, d = f.num, f.den
@@ -417,50 +548,42 @@ def compose(f: RationalMap, g: RationalMap, cap: int = DEGREE_CAP) -> RationalMa
         raise DegreeCapExceeded(
             f"composition degree {f.degree * g.degree} exceeds cap {cap}"
         )
-    df = f.degree
-    ngc = g.num.coeffs
-    dgc = g.den.coeffs
-    # powers of numerator and denominator of g
-    npow = [np.array([1.0 + 0.0j])]
-    dpow = [np.array([1.0 + 0.0j])]
-    for _ in range(df):
-        npow.append(np.convolve(npow[-1], ngc))
-        dpow.append(np.convolve(dpow[-1], dgc))
-    fn = _pad(f.num.coeffs, df + 1)
-    fd = _pad(f.den.coeffs, df + 1)
-    deg_total = df * max(g.degree, 0)
-    out_n = np.zeros(deg_total + 1, dtype=complex)
-    out_d = np.zeros(deg_total + 1, dtype=complex)
-    for i in range(df + 1):
-        term = np.convolve(npow[i], dpow[df - i])
-        out_n[: len(term)] += fn[i] * term
-        out_d[: len(term)] += fd[i] * term
-    return RationalMap(out_n, out_d)
+    return RationalMap(*_substitute(f, g.num.coeffs, g.den.coeffs))
 
 
 def conjugate(f: RationalMap, m: Moebius) -> RationalMap:
     """m . f . m^{-1}; same degree, coprime."""
     mi = m.inverse()
-    d = f.degree
-    # f(m^{-1}(w)) via homogeneous substitution z = (a w + b)/(c w + d)
-    lin_n = np.array([mi.b, mi.a], dtype=complex)
-    lin_d = np.array([mi.d, mi.c], dtype=complex)
-    npow = [np.array([1.0 + 0.0j])]
-    dpow = [np.array([1.0 + 0.0j])]
-    for _ in range(d):
-        npow.append(np.convolve(npow[-1], lin_n))
-        dpow.append(np.convolve(dpow[-1], lin_d))
-    fn = _pad(f.num.coeffs, d + 1)
-    fd = _pad(f.den.coeffs, d + 1)
-    mid_n = np.zeros(d + 1, dtype=complex)
-    mid_d = np.zeros(d + 1, dtype=complex)
-    for i in range(d + 1):
-        term = np.convolve(npow[i], dpow[d - i])
-        mid_n[: len(term)] += fn[i] * term
-        mid_d[: len(term)] += fd[i] * term
+    # f(m^{-1}(w)) with z = (a w + b)/(c w + d) substituted
+    mid_n, mid_d = _substitute(
+        f,
+        np.array([mi.b, mi.a], dtype=complex),
+        np.array([mi.d, mi.c], dtype=complex),
+    )
     out_n = m.a * mid_n + m.b * mid_d
     out_d = m.c * mid_n + m.d * mid_d
     return RationalMap(out_n, out_d)
+
+
+def _substitute(f: RationalMap, p, q):
+    """Homogeneous substitution z = p/q into f = N/D of degree d: the
+    coefficients of N(p/q) q^d and D(p/q) q^d."""
+    d = f.degree
+    ppow = [np.array([1.0 + 0.0j])]
+    qpow = [np.array([1.0 + 0.0j])]
+    for _ in range(d):
+        ppow.append(np.convolve(ppow[-1], p))
+        qpow.append(np.convolve(qpow[-1], q))
+    fn = pad_coeffs(f.num.coeffs, d + 1)
+    fd = pad_coeffs(f.den.coeffs, d + 1)
+    size = 1 + d * (max(len(p), len(q)) - 1)
+    out_n = np.zeros(size, dtype=complex)
+    out_d = np.zeros(size, dtype=complex)
+    for i in range(d + 1):
+        term = np.convolve(ppow[i], qpow[d - i])
+        out_n[: len(term)] += fn[i] * term
+        out_d[: len(term)] += fd[i] * term
+    return out_n, out_d
 
 
 def critical_points(f: RationalMap):

@@ -24,6 +24,8 @@ from .algebra import (
     chordal_distance,
     conjugate,
     critical_points,
+    first_within,
+    sphere_array,
 )
 from .dynamics import (
     julia_cloud,
@@ -71,13 +73,6 @@ class PostcriticalAnalysis:
     orbifold_signature: tuple = None
 
 
-def _snap(p: SpherePoint, known: list) -> SpherePoint:
-    for q in known:
-        if chordal_distance(p, q) <= 1e-9:
-            return q
-    return p
-
-
 def _step_with_pole_snap(f: RationalMap, p: SpherePoint, den_roots) -> SpherePoint:
     """One forward step; points within rounding reach of a pole go to
     infinity exactly, so postcritical orbits land instead of exploding."""
@@ -98,19 +93,13 @@ def postcritical_analysis(f: RationalMap, depth: int = POSTCRITICAL_DEPTH) -> Po
     """
     from .roots import all_roots
 
-    crit_raw = critical_points(f)
     # local degree at a critical point = 1 + Wronskian multiplicity
     crit = []
-    seen = []
-    for p in crit_raw:
-        matched = False
-        for k, q in enumerate(seen):
-            if chordal_distance(p, q) <= 1e-9:
-                crit[k] = (crit[k][0], crit[k][1] + 1)
-                matched = True
-                break
-        if not matched:
-            seen.append(p)
+    for p in critical_points(f):
+        k = first_within(p, sphere_array([q for q, _ in crit]), 1e-9)
+        if k >= 0:
+            crit[k] = (crit[k][0], crit[k][1] + 1)
+        else:
             crit.append((p, 2))
 
     den_roots = np.zeros(0, dtype=complex)
@@ -118,27 +107,25 @@ def postcritical_analysis(f: RationalMap, depth: int = POSTCRITICAL_DEPTH) -> Po
         den_roots = all_roots(f.den, 1e-12).roots
 
     known_points: list = []
+
+    def snap(p: SpherePoint) -> SpherePoint:
+        k = first_within(p, sphere_array(known_points), 1e-9)
+        if k >= 0:
+            return known_points[k]
+        known_points.append(p)
+        return p
+
     orbits = []
     cycles = []
     all_landed = True
     for start, _deg in crit:
-        orbit = [_snap(start, known_points)]
-        if orbit[0] not in known_points:
-            known_points.append(orbit[0])
+        orbit = [snap(start)]
         landed = False
         for _ in range(depth):
-            nxt = _step_with_pole_snap(f, orbit[-1], den_roots)
-            nxt = _snap(nxt, known_points)
-            if nxt not in known_points:
-                known_points.append(nxt)
-            # recurrence?
-            hit = None
-            for j, prev in enumerate(orbit):
-                if chordal_distance(nxt, prev) <= CYCLE_MATCH_TOL:
-                    hit = j
-                    break
+            nxt = snap(_step_with_pole_snap(f, orbit[-1], den_roots))
+            hit = first_within(nxt, sphere_array(orbit), CYCLE_MATCH_TOL)
             orbit.append(nxt)
-            if hit is not None:
+            if hit >= 0:
                 entry_ok = _abrupt_entry(orbit, hit, len(orbit) - 1)
                 if entry_ok:
                     cyc = orbit[hit : len(orbit) - 1]
@@ -152,29 +139,18 @@ def postcritical_analysis(f: RationalMap, depth: int = POSTCRITICAL_DEPTH) -> Po
     # deduplicate cycles
     uniq_cycles = []
     for cyc in cycles:
-        merged = False
-        for known in uniq_cycles:
-            if any(
-                chordal_distance(a, b) <= CYCLE_MATCH_TOL for a in cyc for b in known
-            ):
-                merged = True
-                break
-        if not merged:
+        if not any(_near_any(cyc, known, CYCLE_MATCH_TOL) for known in uniq_cycles):
             uniq_cycles.append(cyc)
 
     post = []
     for orbit in orbits:
         for p in orbit[1:]:
-            if not any(chordal_distance(p, q) <= CYCLE_MATCH_TOL for q in post):
+            if first_within(p, sphere_array(post), CYCLE_MATCH_TOL) < 0:
                 post.append(p)
     post.sort(key=lambda p: p.sort_key())
 
-    cycle_has_critical = []
-    for cyc in uniq_cycles:
-        has = any(
-            chordal_distance(c, p) <= 1e-7 for c, _ in crit for p in cyc
-        )
-        cycle_has_critical.append(has)
+    crit_points = [c for c, _ in crit]
+    cycle_has_critical = [_near_any(cyc, crit_points, 1e-7) for cyc in uniq_cycles]
 
     analysis = PostcriticalAnalysis(
         critical=crit,
@@ -187,6 +163,12 @@ def postcritical_analysis(f: RationalMap, depth: int = POSTCRITICAL_DEPTH) -> Po
     if all_landed:
         _compute_orbifold(f, analysis)
     return analysis
+
+
+def _near_any(points, others, tol: float) -> bool:
+    """Is some point within chordal distance tol of some other point?"""
+    zs = sphere_array(others)
+    return any(first_within(p, zs, tol) >= 0 for p in points)
 
 
 def _abrupt_entry(orbit, hit_index, close_index) -> bool:
@@ -205,23 +187,23 @@ def _abrupt_entry(orbit, hit_index, close_index) -> bool:
 def _compute_orbifold(f: RationalMap, analysis: PostcriticalAnalysis):
     """Ramification function on the postcritical set by lcm propagation."""
     post = analysis.postcritical_set
-    crit = analysis.critical
-    d = f.degree
     # preimage structure of each postcritical point
+    post_z = sphere_array(post)
+    # per postcritical point: (local degree e, index of the postcritical
+    # point at the preimage or -1) for each distinct preimage
     pre = []
     for y in post:
         # local degree at w = number of preimages clustered at w
         clustered = []
+        degrees = []
         for w in preimage_points(f, y):
-            placed = False
-            for item in clustered:
-                if chordal_distance(w, item[0]) <= 1e-6:
-                    item[1] += 1
-                    placed = True
-                    break
-            if not placed:
-                clustered.append([w, 1])
-        pre.append(clustered)
+            k = first_within(w, sphere_array(clustered), 1e-6)
+            if k >= 0:
+                degrees[k] += 1
+            else:
+                clustered.append(w)
+                degrees.append(1)
+        pre.append([(e, first_within(w, post_z, 1e-6)) for w, e in zip(clustered, degrees)])
 
     nu = [1] * len(post)
     CAP = 64
@@ -229,12 +211,8 @@ def _compute_orbifold(f: RationalMap, analysis: PostcriticalAnalysis):
         changed = False
         for i, y in enumerate(post):
             val = 1
-            for w, e in pre[i]:
-                nw = 1
-                for j, q in enumerate(post):
-                    if chordal_distance(w, q) <= 1e-6:
-                        nw = nu[j]
-                        break
+            for e, j in pre[i]:
+                nw = nu[j] if j >= 0 else 1
                 contrib = None if nw is None else e * nw
                 if contrib is None or (val is not None and contrib > CAP):
                     val = None
@@ -332,7 +310,6 @@ def detect_exceptional(f: RationalMap, analysis: PostcriticalAnalysis = None) ->
 def lattes_doubling_map(g2: float = 4.0, g3: float = 0.0) -> RationalMap:
     """Degree-4 rational map induced by doubling on y^2 = 4x^3 - g2 x - g3
     (the classical duplication formula for the Weierstrass function)."""
-    x = Poly([0.0, 1.0])
     wp2 = Poly([-g3, -g2, 0.0, 4.0])  # (P')^2 = 4x^3 - g2 x - g3
     half_wpp = Poly([-g2 / 2.0, 0.0, 6.0])  # P'' = 6x^2 - g2/2
     num = half_wpp * half_wpp - Poly([0.0, 8.0]) * wp2
@@ -616,9 +593,7 @@ def _own_circle_angles(circle: GeneralizedCircle, cloud) -> np.ndarray:
     norm = circle.normalized()
     out = []
     if norm.is_line:
-        b = norm.B
-        base = -norm.C * b / (2.0 * abs(b) ** 2)
-        direction = 1j * b / abs(b)
+        base, direction = norm.line_frame()
         for p in cloud:
             if p.infinite:
                 out.append(math.pi)
@@ -774,19 +749,26 @@ def _polish_left_endpoint_with_infinite_partner(
 ) -> float:
     """With the right endpoint at infinity, the left endpoint maps to itself
     or to infinity (then it is a pole)."""
-    num, den = g.num, g.den
+    den = g.den
     fa = _real_eval(g, a)
     if math.isfinite(fa) and abs(fa - a) <= max(0.05 * span, 1e-9 * (1.0 + abs(a))):
-        return _newton_real(
-            lambda x: (num(x) - x * den(x)).real,
-            lambda x: (num.deriv()(x) - den(x) - x * den.deriv()(x)).real,
-            a,
-        )
+        return _newton_real(*_fixed_point_equation(g), a)
     if den.degree >= 1:
         return _newton_real(
             lambda x: den(x).real, lambda x: den.deriv()(x).real, a
         )
     return a
+
+
+def _fixed_point_equation(g: RationalMap):
+    """Re(num(x) - x den(x)), whose real zeros are g's finite fixed points,
+    and its derivative."""
+    num, den = g.num, g.den
+    dnum, dden = num.deriv(), den.deriv()
+    return (
+        lambda x: (num(x) - x * den(x)).real,
+        lambda x: (dnum(x) - den(x) - x * dden(x)).real,
+    )
 
 
 def _newton_real(fun, dfun, x0, tol=1e-13, steps=80):
@@ -817,15 +799,10 @@ def _polish_endpoints(g: RationalMap, a: float, b: float):
     is then solved against the partner's polished value, so the pair closes
     to full precision."""
     num, den = g.num, g.den
-
-    def fixed_eq(x):
-        return (num(x) - x * den(x)).real
-
-    def fixed_deq(x):
-        return (num.deriv()(x) - den(x) - x * den.deriv()(x)).real
+    fixed_eq = _fixed_point_equation(g)
 
     def polish_fixed(x):
-        return _newton_real(fixed_eq, fixed_deq, x)
+        return _newton_real(*fixed_eq, x)
 
     def polish_preimage_of(x, target):
         return _newton_real(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -306,17 +305,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    # CIRCLEDYN_THREADS caps worker parallelism; all current code paths are
-    # single-threaded, so any positive value is accepted and recorded.
-    threads = os.environ.get("CIRCLEDYN_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                print("CIRCLEDYN_THREADS must be >= 1", file=sys.stderr)
-                return EXIT_USAGE
-        except ValueError:
-            print("CIRCLEDYN_THREADS must be an integer", file=sys.stderr)
-            return EXIT_USAGE
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -21,8 +21,17 @@ from .algebra import (
     Poly,
     RationalMap,
     SpherePoint,
+    chart_coeffs,
+    chart_split,
     chordal_distance,
+    chordal_distances,
+    cluster_roots,
+    deriv_coeffs,
+    pad_coeffs,
     polyval,
+    series_quotient,
+    sorted_roots,
+    sphere_array,
 )
 from .errors import (
     DegreeCapExceeded,
@@ -33,7 +42,6 @@ from .errors import (
 
 NEUTRAL_BAND = 1e-6
 PERIOD_DEGREE_CAP = 4097
-EXACT_PERIOD_CLUSTER = 1e-6
 DUPLICATE_CLUSTER = 1e-9
 BURN_IN = 50
 DEDUP_PITCH = 1e-4
@@ -43,84 +51,35 @@ DEDUP_PITCH = 1e-4
 # chart-aware derivatives
 
 
-def _pad(c, n):
-    out = np.zeros(n, dtype=complex)
-    out[: len(c)] = c
-    return out
+class _ChartSlopes:
+    """Derivatives of f read from the chart of a point to the chart of its
+    image, with the chart rule of `chart_split`."""
 
+    def __init__(self, f: RationalMap):
+        self.pairs = {}
+        for key in ((False, False), (False, True), (True, False), (True, True)):
+            pn, pd = chart_coeffs(f, *key)
+            self.pairs[key] = (pn, pd, deriv_coeffs(pn), deriv_coeffs(pd))
 
-def _chart_variants(f: RationalMap):
-    """Coefficient pairs of c_out . f . c_in^{-1} for the four chart choices.
-
-    Chart key (in_inverted, out_inverted); True means the w = 1/z chart.
-    """
-    d = f.degree
-    n = _pad(f.num.coeffs, d + 1)
-    m = _pad(f.den.coeffs, d + 1)
-    return {
-        (False, False): (n, m),
-        (False, True): (m, n),
-        (True, False): (n[::-1].copy(), m[::-1].copy()),
-        (True, True): (m[::-1].copy(), n[::-1].copy()),
-    }
-
-
-def _inverted_chart(p: SpherePoint) -> bool:
-    return p.infinite or abs(p.value) > 1.0
-
-
-def _chart_coord(p: SpherePoint, inverted: bool) -> complex:
-    if p.infinite:
-        return 0.0 + 0.0j
-    return 1.0 / p.value if inverted else p.value
-
-
-def chart_derivative(f: RationalMap, z, w=None, variants=None) -> complex:
-    """Derivative of f at z read in adapted charts (w = f(z) may be passed)."""
-    z = SpherePoint.of(z)
-    w = f(z) if w is None else SpherePoint.of(w)
-    ci, co = _inverted_chart(z), _inverted_chart(w)
-    if variants is None:
-        variants = _chart_variants(f)
-    pn, pd = variants[(ci, co)]
-    u = _chart_coord(z, ci)
-    nv = polyval(pn, u)
-    dv = polyval(pd, u)
-    npv = polyval(_deriv_coeffs(pn), u)
-    dpv = polyval(_deriv_coeffs(pd), u)
-    if dv == 0:
-        return complex(math.inf, 0.0)
-    return (npv * dv - nv * dpv) / (dv * dv)
-
-
-def _deriv_coeffs(c):
-    if len(c) <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
-
-
-def spherical_log_derivative(f: RationalMap, z, variants=None) -> float:
-    """log of the spherical-metric derivative norm of f at z."""
-    z = SpherePoint.of(z)
-    w = f(z)
-    ci, co = _inverted_chart(z), _inverted_chart(w)
-    dval = chart_derivative(f, z, w, variants)
-    u = _chart_coord(z, ci)
-    v = _chart_coord(w, co)
-    mag = abs(dval) * (1.0 + abs(u) ** 2) / (1.0 + abs(v) ** 2)
-    if mag <= 0.0 or not math.isfinite(mag):
-        raise DerivativeSingular(f"spherical derivative degenerate at {z}")
-    return math.log(mag)
+    def __call__(self, z_inverted, w_inverted, u) -> complex:
+        pn, pd, dpn, dpd = self.pairs[(bool(z_inverted), bool(w_inverted))]
+        nv = polyval(pn, u)
+        dv = polyval(pd, u)
+        npv = polyval(dpn, u)
+        dpv = polyval(dpd, u)
+        if dv == 0:
+            return complex(math.inf, 0.0)
+        return (npv * dv - nv * dpv) / (dv * dv)
 
 
 def cycle_multiplier(f: RationalMap, points) -> complex:
     """Chain-rule multiplier along a cycle, chart-corrected at infinity/poles."""
-    variants = _chart_variants(f)
-    pts = [SpherePoint.of(p) for p in points]
+    slope = _ChartSlopes(f)
+    inverted, u = chart_split(sphere_array(points))
     lam = 1.0 + 0.0j
-    n = len(pts)
+    n = len(u)
     for k in range(n):
-        lam *= chart_derivative(f, pts[k], pts[(k + 1) % n], variants)
+        lam *= slope(inverted[k], inverted[(k + 1) % n], u[k])
     return lam
 
 
@@ -140,9 +99,9 @@ def preimage_points(f: RationalMap, z):
         ln = max(len(f.num.coeffs), len(f.den.coeffs))
         if abs(zv) > 1e8:
             # solve den(w) - (1/z) num(w) = 0: better conditioned for huge z
-            c = _pad(f.den.coeffs, ln) - (1.0 / zv) * _pad(f.num.coeffs, ln)
+            c = pad_coeffs(f.den.coeffs, ln) - (1.0 / zv) * pad_coeffs(f.num.coeffs, ln)
         else:
-            c = _pad(f.num.coeffs, ln) - zv * _pad(f.den.coeffs, ln)
+            c = pad_coeffs(f.num.coeffs, ln) - zv * pad_coeffs(f.den.coeffs, ln)
         inf_mult = None
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
@@ -225,16 +184,11 @@ def _series_compose(a, b, order):
 
 def _local_series_at_zero(g: RationalMap, order: int):
     """Taylor series of g at 0 up to the given order (g(0) must be 0)."""
-    n = _pad(g.num.coeffs, order + 1)[: order + 1]
-    m = _pad(g.den.coeffs, order + 1)[: order + 1]
+    n = pad_coeffs(g.num.coeffs, order + 1)[: order + 1]
+    m = pad_coeffs(g.den.coeffs, order + 1)[: order + 1]
     if m[0] == 0:
         raise PreimageSolveFailed("pole at the origin in local series")
-    inv = np.zeros(order + 1, dtype=complex)
-    inv[0] = 1.0 / m[0]
-    for k in range(1, order + 1):
-        inv[k] = -np.dot(m[1 : k + 1], inv[k - 1 :: -1][: k]) / m[0]
-    series = np.convolve(n, inv)[: order + 1]
-    return series
+    return series_quotient(n, m, order)
 
 
 def _infinity_fixed_multiplicity(f: RationalMap, n: int) -> int:
@@ -269,7 +223,7 @@ def _fixed_point_solutions(f: RationalMap) -> _PeriodSolutions:
     from .roots import all_roots
 
     ln = max(len(f.num.coeffs), len(f.den.coeffs) + 1)
-    c = _pad(f.num.coeffs, ln)
+    c = pad_coeffs(f.num.coeffs, ln)
     c[1 : len(f.den.coeffs) + 1] -= f.den.coeffs
     p = Poly(c)
     if p.is_zero:
@@ -294,7 +248,7 @@ def _orbit_data(f: RationalMap, z: np.ndarray, n: int):
     """Forward data for F(z) = f^n(z) - z: value, (f^n)', denominator log-deriv."""
     d = f.degree
     nc, dc = f.num.coeffs, f.den.coeffs
-    dnc, ddc = _deriv_coeffs(nc), _deriv_coeffs(dc)
+    dnc, ddc = deriv_coeffs(nc), deriv_coeffs(dc)
     w = z.astype(complex).copy()
     lam = np.ones_like(w)
     dlog = np.zeros_like(w)
@@ -312,14 +266,27 @@ def _orbit_data(f: RationalMap, z: np.ndarray, n: int):
     return F, lam, dlog
 
 
+def _log_derivative(f, z: np.ndarray, n: int) -> np.ndarray:
+    """P'/P at z for the period-n polynomial P, from the orbit data."""
+    F, lam, dlog = _orbit_data(f, z, n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return (lam - 1.0) / F + dlog
+
+
+def _step_quality(f, z: np.ndarray, n: int) -> np.ndarray:
+    """|F| / max(|(f^n)' - 1|, 1e-6): the Newton step length at z."""
+    F, lam, _ = _orbit_data(f, z, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
+
+
 def _aberth_functional(f, n, m, z0, tol=1e-13, maxiter=400):
     """Simultaneous iteration on the period-n equation via functional values."""
     z = z0.astype(complex).copy()
     center = np.median(z.real) + 1j * np.median(z.imag)
-    for it in range(maxiter):
-        F, lam, dlog = _orbit_data(f, z, n)
+    for _ in range(maxiter):
+        ratio = _log_derivative(f, z, n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = (lam - 1.0) / F + dlog  # P'/P
             invr = 1.0 / ratio
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, np.inf)
@@ -329,10 +296,11 @@ def _aberth_functional(f, n, m, z0, tol=1e-13, maxiter=400):
         bad = ~np.isfinite(step)
         if np.any(bad):
             step = np.where(bad, 0.25 * (z - center), step)
-        # temper huge steps: keeps far strays from overshooting
+        # temper huge steps: keeps far strays from overshooting (a zero
+        # step, as from a start at the centroid, must not divide by zero)
         mag = np.abs(step)
         cap = 1.0 + np.abs(z)
-        step = np.where(mag > cap, step * (cap / mag), step)
+        step = np.where(mag > cap, step * (cap / np.maximum(mag, cap)), step)
         z = z - step
         if np.max(np.abs(step)) <= tol * (1.0 + np.max(np.abs(z))):
             break
@@ -359,11 +327,9 @@ def _period_solutions(f: RationalMap, n: int, cache: dict, seed_cloud=None):
     best = None
     for attempt in range(3):
         z = _aberth_functional(f, n, m, z0)
-        F, lam, _ = _orbit_data(f, z, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quality = np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
+        quality = _step_quality(f, z, n)
         ok = np.isfinite(quality) & (quality < 1e-7 * np.maximum(1.0, np.abs(z)))
-        centers, mult = _cluster(z[ok])
+        centers, mult = cluster_roots(z[ok], DUPLICATE_CLUSTER)
         centers, mult = _validate_multiplicities(f, n, centers, mult)
         centers, mult = _forward_closure(f, n, centers, mult)
         total = sum(mult)
@@ -432,9 +398,8 @@ def _forward_closure(f, n, centers, mult):
             wz = np.array([w], dtype=complex)
             known_mult = np.asarray(mult, dtype=float)
             for _ in range(30):
-                F, lam, dlog = _orbit_data(f, wz, n)
+                ratio = _log_derivative(f, wz, n)
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    ratio = (lam - 1.0) / F + dlog
                     ratio = ratio - np.sum(known_mult / (wz[0] - cur))
                     step = 1.0 / ratio
                 if not np.all(np.isfinite(step)):
@@ -442,9 +407,7 @@ def _forward_closure(f, n, centers, mult):
                 wz = wz - step
                 if abs(step[0]) <= 1e-14 * (1.0 + abs(wz[0])):
                     break
-            F, lam, _ = _orbit_data(f, wz, n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                quality = abs(F[0]) / max(abs(lam[0] - 1.0), 1e-6)
+            quality = float(_step_quality(f, wz, n)[0])
             drift = abs(wz[0] - w)
             dist_known = (
                 float(np.min(np.abs(cur - wz[0]))) if cur.size else math.inf
@@ -462,9 +425,7 @@ def _forward_closure(f, n, centers, mult):
                 added = True
         if not added:
             break
-    arr = np.asarray(centers, dtype=complex)
-    order = np.lexsort((arr.imag, arr.real))
-    return arr[order], [mult[k] for k in order]
+    return sorted_roots(centers, mult)
 
 
 def _newton_topup(f, n, m, centers, mult):
@@ -496,9 +457,8 @@ def _newton_topup(f, n, m, centers, mult):
                     rings.append(r + rad * s * np.exp(2j * np.pi * (k + 0.5) / 8))
         z = np.concatenate([z, np.asarray(rings, dtype=complex)])
         for _ in range(60):
-            F, lam, dlog = _orbit_data(f, z, n)
+            ratio = _log_derivative(f, z, n)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                ratio = (lam - 1.0) / F + dlog
                 if known.size:
                     ratio = ratio - np.sum(
                         known_mult[None, :] / (z[:, None] - known[None, :]), axis=1
@@ -506,9 +466,7 @@ def _newton_topup(f, n, m, centers, mult):
                 step = 1.0 / ratio
             step = np.where(np.isfinite(step), step, 0.0)
             z = z - step
-        F, lam, _ = _orbit_data(f, z, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quality = np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
+        quality = _step_quality(f, z, n)
         good = z[np.isfinite(quality) & (quality < 1e-9 * np.maximum(1.0, np.abs(z)))]
         for r in good:
             if total >= m:
@@ -521,30 +479,7 @@ def _newton_topup(f, n, m, centers, mult):
             centers.append(r)
             mult.append(1)
             total += 1
-    arr = np.asarray(centers, dtype=complex)
-    order = np.lexsort((arr.imag, arr.real))
-    return arr[order], [mult[k] for k in order], total
-
-
-def _cluster(z: np.ndarray):
-    if z.size == 0:
-        return np.zeros(0, dtype=complex), []
-    order = np.lexsort((z.imag, z.real))
-    z = z[order]
-    centers = []
-    mult = []
-    used = np.zeros(len(z), dtype=bool)
-    for i in range(len(z)):
-        if used[i]:
-            continue
-        sel = np.abs(z - z[i]) <= DUPLICATE_CLUSTER * max(1.0, abs(z[i]))
-        sel &= ~used
-        used |= sel
-        centers.append(np.mean(z[sel]))
-        mult.append(int(np.sum(sel)))
-    centers = np.asarray(centers, dtype=complex)
-    order = np.lexsort((centers.imag, centers.real))
-    return centers[order], [mult[k] for k in order]
+    return (*sorted_roots(centers, mult), total)
 
 
 def _spread_initial(cloud: np.ndarray, m: int) -> np.ndarray:
@@ -582,33 +517,36 @@ def periodic_points(f: RationalMap, n: int, cache: dict = None):
     pts = [SpherePoint.of(r) for r in sol.finite]
     if sol.inf_periodic:
         pts.append(INF)
+    zs = sphere_array(pts)
 
     orbits = []
-    remaining = list(pts)
-    while remaining:
-        start = min(remaining, key=lambda p: p.sort_key())
+    remaining = np.ones(len(pts), dtype=bool)
+    by_key = sorted(range(len(pts)), key=lambda k: pts[k].sort_key())
+    for s in by_key:
+        if not remaining[s]:
+            continue
+        start = pts[s]
         cycle = [start]
-        remaining.remove(start)
+        remaining[s] = False
         current = start
         closed = False
         for _ in range(n):
             nxt = f(current)
-            match, dist = None, math.inf
-            for cand in remaining:
-                dd = chordal_distance(nxt, cand)
-                if dd < dist:
-                    match, dist = cand, dd
-            d_back = chordal_distance(nxt, start)
+            dists = chordal_distances(nxt, zs)
+            d_back = dists[s]
+            dists[~remaining] = math.inf
+            j = int(np.argmin(dists))
+            dist = dists[j]
             if d_back <= 1e-6 and d_back <= dist:
                 closed = True
                 break
-            if match is None or dist > 1e-4:
+            if dist > 1e-4:
                 raise RootFindingFailed(
                     f"period-{n} cycle at {start} lost its successor"
                 )
-            cycle.append(match)
-            remaining.remove(match)
-            current = match
+            cycle.append(pts[j])
+            remaining[j] = False
+            current = pts[j]
         if not closed:
             raise RootFindingFailed(f"period-{n} cycle at {start} failed to close")
         if len(cycle) != n:
@@ -748,14 +686,28 @@ class ErgodicEstimates:
     hd_mu_estimate: float
 
 
+def _spherical_log_derivatives(f: RationalMap, points) -> np.ndarray:
+    """log of the spherical-metric derivative norm of f at each point."""
+    slope = _ChartSlopes(f)
+    z_inv, u = chart_split(sphere_array(points))
+    w_inv, v = chart_split(sphere_array(f(p) for p in points))
+    out = np.empty(len(u))
+    for k, (uk, vk) in enumerate(zip(u.tolist(), v.tolist())):
+        dval = slope(z_inv[k], w_inv[k], uk)
+        mag = abs(dval) * (1.0 + abs(uk) ** 2) / (1.0 + abs(vk) ** 2)
+        if mag <= 0.0 or not math.isfinite(mag):
+            raise DerivativeSingular(
+                f"spherical derivative degenerate at {SpherePoint.of(points[k])}"
+            )
+        out[k] = math.log(mag)
+    return out
+
+
 def lyapunov_exponent(f: RationalMap, sample: MaxEntropySample) -> ErgodicEstimates:
     """Average of log |Df| in the spherical metric over the sample."""
     if not sample.points:
         raise ValueError("empty sample")
-    variants = _chart_variants(f)
-    logs = np.array(
-        [spherical_log_derivative(f, p, variants) for p in sample.points]
-    )
+    logs = _spherical_log_derivatives(f, sample.points)
     chi = float(np.mean(logs))
     stderr = float(np.std(logs, ddof=1) / math.sqrt(len(logs))) if len(logs) > 1 else 0.0
     log_deg = math.log(f.degree)
@@ -774,8 +726,8 @@ def _batched_backward_step(f, z, rng):
     """One backward step for a batch of finite points (complex ndarray)."""
     d = f.degree
     ln = max(len(f.num.coeffs), len(f.den.coeffs))
-    nc = _pad(f.num.coeffs, ln)
-    dc = _pad(f.den.coeffs, ln)
+    nc = pad_coeffs(f.num.coeffs, ln)
+    dc = pad_coeffs(f.den.coeffs, ln)
     if d == 2 and ln == 3:
         a = nc[2] - z * dc[2]
         b = nc[1] - z * dc[1]
@@ -789,35 +741,27 @@ def _batched_backward_step(f, z, rng):
             r2 = np.where(np.abs(q) > 0, c / np.where(q == 0, 1.0, q), 0.0)
         pick = rng.integers(0, 2, size=len(z))
         out = np.where(pick == 0, r1, r2)
-        if np.any(~ok):
-            idx = np.nonzero(~ok)[0]
-            for i in idx:
-                pre = preimage_points(f, SpherePoint.of(z[i]))
-                choice = pre[int(rng.integers(0, len(pre)))]
-                out[i] = complex(math.inf, 0.0) if choice.infinite else choice.value
-        return out
-    # general degree: stacked companion matrices, one eigensolve per batch
-    with np.errstate(invalid="ignore", over="ignore"):
-        coeffs = nc[None, :] - z[:, None] * dc[None, :]
-        lead = coeffs[:, -1]
-        scale = np.max(np.abs(coeffs), axis=1)
-        ok = np.isfinite(scale) & (np.abs(lead) > 1e-12 * scale)
-    out = np.empty_like(z)
-    idx_ok = np.nonzero(ok)[0]
-    if idx_ok.size:
-        monic = coeffs[idx_ok] / lead[idx_ok, None]
-        comp = np.zeros((len(idx_ok), d, d), dtype=complex)
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        comp[:, :, d - 1] = -monic[:, :d]
-        roots = np.linalg.eigvals(comp)
-        pick = rng.integers(0, d, size=len(idx_ok))
-        out[idx_ok] = roots[np.arange(len(idx_ok)), pick]
+    else:
+        # general degree: stacked companion matrices, one eigensolve per batch
+        with np.errstate(invalid="ignore", over="ignore"):
+            coeffs = nc[None, :] - z[:, None] * dc[None, :]
+            lead = coeffs[:, -1]
+            scale = np.max(np.abs(coeffs), axis=1)
+            ok = np.isfinite(scale) & (np.abs(lead) > 1e-12 * scale)
+        out = np.empty_like(z)
+        idx_ok = np.nonzero(ok)[0]
+        if idx_ok.size:
+            monic = coeffs[idx_ok] / lead[idx_ok, None]
+            comp = np.zeros((len(idx_ok), d, d), dtype=complex)
+            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            comp[:, :, d - 1] = -monic[:, :d]
+            roots = np.linalg.eigvals(comp)
+            pick = rng.integers(0, d, size=len(idx_ok))
+            out[idx_ok] = roots[np.arange(len(idx_ok)), pick]
+    # degenerate batch entries (infinity, a dropped leading coefficient)
+    # take a scalar preimage solve
     for i in np.nonzero(~ok)[0]:
-        zi = z[i]
-        if not (math.isfinite(zi.real) and math.isfinite(zi.imag)):
-            pre = preimage_points(f, INF)
-        else:
-            pre = preimage_points(f, SpherePoint.of(zi))
+        pre = preimage_points(f, z[i])
         choice = pre[int(rng.integers(0, len(pre)))]
         out[i] = complex(math.inf, 0.0) if choice.infinite else choice.value
     return out
@@ -847,14 +791,6 @@ def _sampler_points(f: RationalMap, size: int, seed: int) -> np.ndarray:
     return flat[:size]
 
 
-def _dedup_key(z: complex):
-    az = abs(z)
-    if math.isfinite(az) and az <= 1.0:
-        return (0, round(z.real / DEDUP_PITCH), round(z.imag / DEDUP_PITCH))
-    w = 0.0 if not math.isfinite(az) else 1.0 / z
-    return (1, round(w.real / DEDUP_PITCH), round(w.imag / DEDUP_PITCH))
-
-
 def julia_cloud(f: RationalMap, size: int, seed: int):
     """Union of backward runs from repelling low-period points, deduplicated
     on a grid of pitch 1e-4 (both charts).  Returns at most `size` points,
@@ -864,9 +800,10 @@ def julia_cloud(f: RationalMap, size: int, seed: int):
     added = size
     while len(seen) < size and rounds < 40 and added >= max(1, size // 200):
         batch = _sampler_points(f, max(size, 512), seed=seed + 1009 * rounds)
+        inverted, w = chart_split(batch)
+        cells = zip(inverted, np.round(w.real / DEDUP_PITCH), np.round(w.imag / DEDUP_PITCH))
         before = len(seen)
-        for z in batch:
-            key = _dedup_key(z)
+        for z, key in zip(batch, cells):
             if key not in seen:
                 seen[key] = z
             if len(seen) >= size:

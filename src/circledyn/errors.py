@@ -82,10 +82,6 @@ class BasePointPostcritical(CircledynError):
     pass
 
 
-class NoRealFixedPointInRange(CircledynError):
-    pass
-
-
 class SpecViolation(CircledynError):
     pass
 
@@ -103,8 +99,4 @@ class ParamOutOfRange(CircledynError):
 
 
 class EX3ConstructionFailed(CircledynError):
-    pass
-
-
-class EscapeCapExceeded(CircledynError):
     pass

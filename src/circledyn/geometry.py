@@ -15,8 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import INF, Moebius, RationalMap, SpherePoint, chordal_distance
-from .dynamics import cloud_array, preimage_points
+from .algebra import (
+    INF,
+    Moebius,
+    RationalMap,
+    SpherePoint,
+    chart_split,
+    chordal_distance,
+    sphere_array,
+)
+from .dynamics import preimage_points
 from .errors import DegenerateCloud, DegeneratePoints
 
 CIRCLE_ACCEPT_RESIDUAL = 1e-4
@@ -53,37 +61,19 @@ class GeneralizedCircle:
                 break
         return GeneralizedCircle(a, b, c)
 
-    def form(self, z: complex) -> float:
-        return float(
-            self.A * (z.real**2 + z.imag**2) + 2.0 * (self.B.conjugate() * z).real + self.C
-        )
-
-    def reciprocal(self) -> "GeneralizedCircle":
-        """The same circle read in the chart w = 1/z."""
-        return GeneralizedCircle(self.C, self.B.conjugate(), self.A)
-
     def point_residual(self, p) -> float:
-        """Gradient-normalized algebraic distance, computed in the chart where
-        the point is tame (|z| <= 1, with infinity in the reciprocal chart)."""
-        p = SpherePoint.of(p)
-        if p.infinite:
-            circ, z = self.reciprocal(), 0.0 + 0.0j
-        elif abs(p.value) > 1.0:
-            circ, z = self.reciprocal(), 1.0 / p.value
-        else:
-            circ, z = self, p.value
-        q = circ.form(z)
-        grad = 2.0 * abs(circ.A * z + circ.B)
-        if grad < 1e-12:
-            return abs(q)
-        return abs(q) / grad
+        """The residual of one sphere point (see `residuals`)."""
+        return float(residuals(self, sphere_array([p]))[0])
+
+    def line_frame(self):
+        """Base point and unit direction of a line: base + t direction, t real."""
+        b = self.B
+        return -self.C * b / (2.0 * abs(b) ** 2), 1j * b / abs(b)
 
     def sample_points(self, count: int):
         """Deterministic points on the circle, sphere-spread for lines."""
         if self.is_line:
-            b = self.B
-            base = -self.C * b / (2.0 * abs(b) ** 2)
-            direction = 1j * b / abs(b)
+            base, direction = self.line_frame()
             ts = np.tan(np.pi * ((np.arange(count - 1) + 0.5) / (count - 1) - 0.5))
             pts = [SpherePoint.of(base + direction * t) for t in ts]
             pts.append(INF)
@@ -108,7 +98,7 @@ def circle_through_3(p1, p2, p3) -> GeneralizedCircle:
     _, _, vh = np.linalg.svd(m)
     a, bx, by, c = vh[-1]
     circ = GeneralizedCircle(float(a), complex(bx, by), float(c)).normalized()
-    worst = max(circ.point_residual(p) for p in pts)
+    worst = float(np.max(residuals(circ, sphere_array(pts))))
     if worst > 1e-12:
         raise DegeneratePoints(f"three-point circle residual {worst:.2e}")
     return circ
@@ -124,32 +114,32 @@ def _design_row(p: SpherePoint):
     return [abs(z) ** 2 * w, 2.0 * z.real * w, 2.0 * z.imag * w, w]
 
 
+def residuals(circle: GeneralizedCircle, z) -> np.ndarray:
+    """Gradient-normalized algebraic distances of sphere points (a complex
+    array, non-finite entries at infinity) to the circle.
+
+    Each point is read in its chart (`chart_split`), where it is tame; in
+    the chart w = 1/z the form has coefficients (C, conj B, A).  Real
+    arithmetic throughout, with np.float_power and np.hypot rounding as
+    Python's scalar x ** 2 and abs, so a point's residual does not depend
+    on the array it comes in."""
+    inverted, w = chart_split(z)
+    a = np.where(inverted, circle.C, circle.A)
+    c = np.where(inverted, circle.A, circle.C)
+    br = circle.B.real
+    bi = np.where(inverted, -circle.B.imag, circle.B.imag)
+    x, y = w.real, w.imag
+    q = a * (np.float_power(x, 2) + np.float_power(y, 2)) + 2.0 * (br * x + bi * y) + c
+    grad = 2.0 * np.hypot(a * x + br, a * y + bi)
+    return np.abs(q) / np.maximum(grad, 1e-12)
+
+
 def containment_residual(circle: GeneralizedCircle, cloud) -> float:
     """Maximum chart-robust residual of the cloud against the circle."""
     pts = list(cloud)
     if not pts:
         raise ValueError("empty cloud")
-    finite, n_inf = cloud_array(pts)
-    worst = 0.0
-    if n_inf:
-        worst = circle.point_residual(INF)
-    if finite.size:
-        inner = np.abs(finite) <= 1.0
-        for sel, circ in ((inner, circle), (~inner, circle.reciprocal())):
-            zs = finite[sel]
-            if zs.size == 0:
-                continue
-            if circ is not circle:
-                zs = 1.0 / zs
-            q = (
-                circ.A * (zs.real**2 + zs.imag**2)
-                + 2.0 * (circ.B.conjugate() * zs).real
-                + circ.C
-            )
-            grad = 2.0 * np.abs(circ.A * zs + circ.B)
-            res = np.abs(q) / np.maximum(grad, 1e-12)
-            worst = max(worst, float(np.max(res)))
-    return worst
+    return float(np.max(residuals(circle, sphere_array(pts))))
 
 
 def best_circle(cloud, anchors=None):
@@ -160,7 +150,7 @@ def best_circle(cloud, anchors=None):
     if len(pts) < 3:
         raise DegenerateCloud("need at least 3 points to fit a circle")
     rows = np.asarray([_design_row(SpherePoint.of(p)) for p in pts], dtype=float)
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    _, _, vh = np.linalg.svd(rows, full_matrices=False)
     candidates = []
     a, bx, by, c = vh[-1]
     try:
@@ -209,14 +199,10 @@ def invariance_check(
 ) -> dict:
     """Forward residual of mapped circle samples, and complete invariance via
     the preimages of circle points."""
-    fwd_pts = circle.sample_points(forward_samples)
-    fwd_res = 0.0
-    for p in fwd_pts:
-        fwd_res = max(fwd_res, circle.point_residual(f(p)))
-    pre_res = 0.0
-    for p in circle.sample_points(preimage_samples):
-        for q in preimage_points(f, p):
-            pre_res = max(pre_res, circle.point_residual(q))
+    images = [f(p) for p in circle.sample_points(forward_samples)]
+    fwd_res = float(np.max(residuals(circle, sphere_array(images))))
+    pre = [q for p in circle.sample_points(preimage_samples) for q in preimage_points(f, p)]
+    pre_res = float(np.max(residuals(circle, sphere_array(pre))))
     return {
         "forward_residual": fwd_res,
         "preimage_residual": pre_res,
@@ -241,9 +227,7 @@ def normalize_to_real_line(circle: GeneralizedCircle) -> Moebius:
     p1, p2, p3 = triple
     m = _moebius_to_0_1_inf(p1, p2, p3)
     line = GeneralizedCircle(0.0, complex(0.0, 1.0), 0.0)
-    worst = 0.0
-    for p in circle.sample_points(20):
-        worst = max(worst, line.point_residual(m(p)))
+    worst = float(np.max(residuals(line, sphere_array([m(p) for p in circle.sample_points(20)]))))
     if worst > 1e-9:
         raise DegeneratePoints(f"normalization residual {worst:.2e}")
     return m

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import INF, Moebius, RationalMap, SpherePoint, chordal_distance
+from .algebra import (
+    Moebius,
+    RationalMap,
+    SpherePoint,
+    chordal_distance,
+    invert_point,
+    series_quotient,
+)
 from .dynamics import (
     NEUTRAL_BAND,
     periodic_points,
@@ -58,12 +65,7 @@ def local_taylor(f: RationalMap, p, order: int):
     m = np.zeros(order + 1, dtype=complex)
     n[: min(len(num_s), order + 1)] = num_s[: order + 1]
     m[: min(len(den_s), order + 1)] = den_s[: order + 1]
-    # series division n/m to the requested order
-    inv = np.zeros(order + 1, dtype=complex)
-    inv[0] = 1.0 / m[0]
-    for k in range(1, order + 1):
-        inv[k] = -np.dot(m[1 : k + 1], inv[k - 1 :: -1][: k]) / m[0]
-    series = np.convolve(n, inv)[: order + 1]
+    series = series_quotient(n, m, order)
     series[0] -= pv
     if abs(series[0]) > 1e-9 * max(1.0, abs(pv)):
         raise NotFixed(f"fixed-point residual {abs(series[0]):.2e}")
@@ -160,27 +162,25 @@ def _radius_estimate(coeffs: np.ndarray) -> float:
 
 def poincare_eval(s: LinearizerSeries, f: RationalMap, z) -> SpherePoint:
     """Global value Psi(z): shrink into the reliable disc, push forward."""
-    z = complex(z)
     g = f.reciprocal_chart() if s.chart_inverted else f
-    lam = s.multiplier
-    r_safe = s.conv_radius_estimate / 4.0
-    n = 0
-    w = z
-    while abs(w) > r_safe and n < 6000:
-        w /= lam
-        n += 1
+    w, n = _shrink(s, complex(z))
     val = SpherePoint.of(s.series_eval(w))
     for _ in range(n):
         val = g(val)
         if val.infinite:
             break
-    if s.chart_inverted:
-        if val.infinite:
-            return SpherePoint.of(0.0)
-        if val.value == 0:
-            return INF
-        return SpherePoint.of(1.0 / val.value)
-    return val
+    return invert_point(val) if s.chart_inverted else val
+
+
+def _shrink(s: LinearizerSeries, z: complex):
+    """(w, n) with w = z / lambda^n inside the reliable disc of the series."""
+    r_safe = s.conv_radius_estimate / 4.0
+    n = 0
+    w = z
+    while abs(w) > r_safe and n < 6000:
+        w /= s.multiplier
+        n += 1
+    return w, n
 
 
 def functional_equation_residual(
@@ -272,16 +272,6 @@ def _local_invert(s: LinearizerSeries, w: complex):
     return z
 
 
-def _to_chart(s: LinearizerSeries, p: SpherePoint) -> SpherePoint:
-    if not s.chart_inverted:
-        return p
-    if p.infinite:
-        return SpherePoint.of(0.0)
-    if p.value == 0:
-        return INF
-    return SpherePoint.of(1.0 / p.value)
-
-
 def nonvanishing_witness(s: LinearizerSeries, f: RationalMap, count: int = 5) -> dict:
     """Nonzero solutions of Psi(z) = p and the size of DPsi there.
 
@@ -292,7 +282,7 @@ def nonvanishing_witness(s: LinearizerSeries, f: RationalMap, count: int = 5) ->
     p = s.base_point
     _check_not_postcritical(f, p)
     g = f.reciprocal_chart() if s.chart_inverted else f
-    q_chart = _to_chart(s, p)
+    q_chart = invert_point(p) if s.chart_inverted else p
     lam = s.multiplier
     r_safe = s.conv_radius_estimate / 8.0
 
@@ -344,13 +334,7 @@ def _psi_derivative(s: LinearizerSeries, g: RationalMap, z: complex) -> complex:
     The chain rule is accumulated in plane coordinates (the witness chains
     stay finite); a pole on the orbit makes the plane derivative blow up,
     reported as infinity."""
-    lam = s.multiplier
-    r_safe = s.conv_radius_estimate / 4.0
-    n = 0
-    w = z
-    while abs(w) > r_safe and n < 6000:
-        w /= lam
-        n += 1
+    w, n = _shrink(s, z)
     dval = s.series_deriv(w)
     pt = SpherePoint.of(s.series_eval(w))
     for _ in range(n):
@@ -359,7 +343,7 @@ def _psi_derivative(s: LinearizerSeries, g: RationalMap, z: complex) -> complex:
             return complex(math.inf, 0.0)
         dval *= g.derivative_at(pt.value)
         pt = nxt
-    return dval / lam**n
+    return dval / s.multiplier**n
 
 
 def periodic_shadow_witness(s: LinearizerSeries, f: RationalMap, n: int, q_solution=None) -> dict:

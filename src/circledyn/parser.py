@@ -111,7 +111,7 @@ class _Parser:
     def expr(self) -> RationalMap:
         value = self.term()
         while True:
-            ch, pos = self.tok.peek()
+            ch, _ = self.tok.peek()
             if ch in ("+", "-"):
                 self.tok.take()
                 rhs = self.term()

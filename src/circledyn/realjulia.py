@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Poly, RationalMap, SpherePoint, polyval
+from .algebra import Poly, RationalMap, SpherePoint, deriv_coeffs, polyval
 from .errors import (
     EX3ConstructionFailed,
     NewtonDiverged,
@@ -192,12 +192,12 @@ def construct_polynomial(spec: CriticalValueSpec, max_iter: int = 200) -> Constr
 
     trace = []
     u = None
-    for attempt, perturb in enumerate([0.0, 0.013, 0.047, 0.11, 0.23]):
+    for perturb in (0.0, 0.013, 0.047, 0.11, 0.23):
         u = seed(perturb)
         res = _residual_vector(u, spec, groups, d)
         norm = float(np.linalg.norm(res))
         ok = True
-        for it in range(max_iter):
+        for _ in range(max_iter):
             if norm <= 1e-13:
                 break
             jac = _numeric_jacobian(lambda v: _residual_vector(v, spec, groups, d), u)
@@ -244,15 +244,11 @@ def construct_polynomial(spec: CriticalValueSpec, max_iter: int = 200) -> Constr
         hull=hull,
         family=spec.family(),
         increasing_at_right_endpoint=bool(
-            polyval(_deriv(coeffs), 1.0 + 0.0j).real > 0
+            polyval(deriv_coeffs(coeffs), 1.0 + 0.0j).real > 0
         ),
         residual=float(np.linalg.norm(_residual_vector(u, spec, groups, d))),
     )
     return result
-
-
-def _deriv(c):
-    return c[1:] * np.arange(1, len(c))
 
 
 def _ordered_interior(xi) -> bool:

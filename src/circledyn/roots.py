@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import as_poly, polyval
+from .algebra import as_poly, cluster_roots, deriv_coeffs, polyval
 from .errors import NoConvergence, Stalled
 
 MAX_ITER = 500
@@ -64,7 +64,7 @@ def all_roots(p, tol: float = 1e-12) -> RootSet:
         z = np.zeros(0, dtype=complex)
     else:
         z = _initial_points(m, _cauchy_radius(core))
-        dcore = core[1:] * np.arange(1, m + 1)
+        dcore = deriv_coeffs(core)
         converged = False
         for _ in range(MAX_ITER):
             pv = polyval(core, z)
@@ -99,30 +99,7 @@ def all_roots(p, tol: float = 1e-12) -> RootSet:
             z = np.where(ok, z - np.where(ok, pv / np.where(ok, dv, 1.0), 0.0), z)
 
     roots = np.concatenate([np.zeros(n_zero, dtype=complex), z])
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
-
-    # cluster near-coincident roots into multiplicity estimates
-    mult = []
-    centers = []
-    used = np.zeros(len(roots), dtype=bool)
-    for i in range(len(roots)):
-        if used[i]:
-            continue
-        group = [i]
-        for j in range(i + 1, len(roots)):
-            if not used[j] and abs(roots[j] - roots[i]) <= CLUSTER_RADIUS * max(
-                1.0, abs(roots[i])
-            ):
-                group.append(j)
-        for j in group:
-            used[j] = True
-        centers.append(np.mean(roots[list(group)]))
-        mult.append(len(group))
-    centers = np.asarray(centers, dtype=complex)
-    order = np.lexsort((centers.imag, centers.real))
-    centers = centers[order]
-    mult = [mult[k] for k in order]
+    centers, mult = cluster_roots(roots, CLUSTER_RADIUS)
 
     residuals = np.abs(polyval(p.coeffs, centers))
     bound = tol * scale * np.maximum(1.0, np.abs(centers)) ** max(p.degree, 1)

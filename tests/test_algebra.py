@@ -8,6 +8,7 @@ from circledyn import (
     INF,
     Moebius,
     Poly,
+    SpherePoint,
     compose,
     conjugate,
     critical_points,
@@ -15,6 +16,13 @@ from circledyn import (
     even_part_lift,
     format_map,
     parse_map,
+)
+from circledyn.algebra import (
+    chart_split,
+    chordal_distance,
+    chordal_distances,
+    invert_point,
+    sphere_array,
 )
 from circledyn.dynamics import periodic_points
 from circledyn.errors import DegreeCapExceeded, MapSyntaxError, NotOdd
@@ -217,3 +225,49 @@ def test_poly_root_residual_invariant():
         scale = max(1.0, float(np.max(np.abs(p.coeffs))))
         for r in rs.roots:
             assert abs(p(r)) <= 1e-9 * scale * max(1.0, abs(r)) ** p.degree
+
+
+# points that stress the chart rule: 0, infinity, the unit circle, and a
+# modulus large enough that |z|^2 dominates every sum
+SPHERE_SAMPLES = [
+    0.0,
+    INF,
+    1.0,
+    -1j,
+    cmath.exp(0.7j),
+    cmath.exp(-2.3j),
+    0.3 - 0.4j,
+    -2.5 + 1.25j,
+    1e8,
+    -1e8j,
+]
+
+
+@pytest.mark.parametrize("p", SPHERE_SAMPLES, ids=repr)
+def test_chordal_distances_equal_scalar_bit_for_bit(p):
+    rng = np.random.default_rng(11)
+    extra = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * 10.0 ** rng.integers(-4, 5, 64)
+    others = SPHERE_SAMPLES + list(extra)
+    zs = sphere_array(others)
+    scalar = np.array([chordal_distance(p, q) for q in others])
+    assert np.array_equal(chordal_distances(p, zs), scalar)
+
+
+@pytest.mark.parametrize(
+    "p, image",
+    [(0.0, INF), (INF, 0.0), (2j, -0.5j), (3 + 4j, 1.0 / (3 + 4j)), (-1.0, -1.0)],
+    ids=repr,
+)
+def test_invert_point_swaps_zero_and_infinity(p, image):
+    assert invert_point(p) == SpherePoint.of(image)
+
+
+def test_chart_split_reads_large_points_and_infinity_in_the_reciprocal_chart():
+    zs = sphere_array(SPHERE_SAMPLES)
+    inverted, w = chart_split(zs)
+    for p, inv, wk in zip(SPHERE_SAMPLES, inverted, w):
+        p = SpherePoint.of(p)
+        assert inv == (p.infinite or abs(p.value) > 1.0)
+        want = 0.0 if p.infinite else (1.0 / p.value if inv else p.value)
+        # bit for bit the scalar complex division, which multipliers rely on
+        assert repr(complex(wk)) == repr(complex(want))

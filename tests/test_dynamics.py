@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from circledyn import Moebius, conjugate, parse_map
 from circledyn.dynamics import (
+    _aberth_functional,
     backward_sample,
     cloud_array,
     cycle_multiplier,
@@ -217,3 +219,13 @@ def test_periodic_points_degree_cap():
 
     with pytest.raises(DegreeCapExceeded):
         periodic_points(parse_map("z^2"), 13)
+
+
+def test_aberth_zero_step_emits_no_runtime_warning():
+    # the start at the centroid gets a zero fallback step, which the step
+    # tempering must not divide by
+    z0 = np.array([0, 1 + 1j, -1 - 1j, 2 + 2j, -2 - 2j], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = _aberth_functional(parse_map("z^2"), 2, 5, z0)
+    assert np.all(np.isfinite(z))

@@ -7,6 +7,7 @@ from circledyn.errors import DegeneratePoints
 from circledyn.geometry import (
     REAL_LINE,
     UNIT_CIRCLE,
+    GeneralizedCircle,
     best_circle,
     circle_through_3,
     containment_residual,
@@ -143,3 +144,19 @@ def test_three_point_normalization_maps_triple_exactly():
         elif abs(img.value - 1.0) < 1e-12:
             targets.append("1")
     assert {"0", "1", "inf"} <= set(targets)
+
+
+SHIFTED_CIRCLE = GeneralizedCircle(1.0, complex(-1.0, 0.5), 0.25)
+
+
+@pytest.mark.parametrize(
+    "circle", [REAL_LINE, UNIT_CIRCLE, SHIFTED_CIRCLE], ids=["line", "unit", "shifted"]
+)
+@pytest.mark.parametrize(
+    "p",
+    # infinity, the center of the unit circle, |z| < 1, |z| = 1, |z| > 1
+    [INF, 0.0, 0.3 + 0.2j, np.exp(0.4j), 3.0 - 2.0j, -1.5 + 0.5j],
+    ids=repr,
+)
+def test_point_residual_is_one_point_containment(circle, p):
+    assert circle.point_residual(p) == containment_residual(circle, [SpherePoint.of(p)])
