@@ -14,7 +14,10 @@ The sphere bookkeeping every later stage needs lives here, once:
 - the chordal metric, as the scalar `chordal_distance` and the one-to-many
   array form `chordal_distances`, which round identically;
 - the coefficient kernels `pad_coeffs`, `deriv_coeffs`, `series_quotient`
-  and the root clustering `cluster_roots`.
+  and the root clustering `cluster_roots`;
+- the per-map memo: a map is immutable after construction, and data derived
+  from it alone (periodic solutions, charts, critical points, poles) is
+  computed once, through `memoized`.
 
 Arrays of sphere points are complex arrays in which any non-finite entry
 is the point at infinity (`sphere_array`).
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeCapExceeded, NotOdd, RootFindingFailed
+from .errors import CircledynError, DegreeCapExceeded, NotOdd, RootFindingFailed
 
 # Relative magnitude below which a trailing coefficient is treated as a
 # genuine degree drop rather than rounding noise.
@@ -423,9 +426,11 @@ class Moebius:
 
 
 class RationalMap:
-    """Reduced ratio of two polynomials acting on the Riemann sphere."""
+    """Reduced ratio of two polynomials acting on the Riemann sphere.
 
-    __slots__ = ("num", "den")
+    Immutable after construction; `memo` holds what `memoized` derives."""
+
+    __slots__ = ("num", "den", "memo")
 
     def __init__(self, num, den, reduce=True):
         num = as_poly(num)
@@ -439,6 +444,7 @@ class RationalMap:
         num, den = _normalize_pair(num, den)
         self.num = num
         self.den = den
+        self.memo = {}
 
     @property
     def degree(self) -> int:
@@ -454,7 +460,10 @@ class RationalMap:
 
     def reciprocal_chart(self) -> "RationalMap":
         """Conjugate by z -> 1/z (so infinity becomes the origin)."""
-        return RationalMap(*chart_coeffs(self, True, True), reduce=True)
+        return memoized(
+            self, "reciprocal_chart",
+            lambda: RationalMap(*chart_coeffs(self, True, True), reduce=True),
+        )
 
     def derivative_at(self, z: complex) -> complex:
         """f'(z) by the quotient rule, without building the derivative map."""
@@ -469,6 +478,28 @@ class RationalMap:
 
     def __repr__(self):
         return f"RationalMap(num={self.num!r}, den={self.den!r})"
+
+
+def memoized(f: RationalMap, key: str, compute):
+    """compute(), run once per map f and kept in f.memo under key.
+
+    A package error raised by compute is kept too and raised again on every
+    later request.  A request for key while compute is still running raises
+    RootFindingFailed, so a solve that seeds from its own result fails
+    instead of recursing."""
+    if key not in f.memo:
+        f.memo[key] = RootFindingFailed(f"{key} requested while being computed")
+        try:
+            f.memo[key] = compute()
+        except CircledynError as exc:
+            f.memo[key] = exc
+        except BaseException:
+            del f.memo[key]
+            raise
+    value = f.memo[key]
+    if isinstance(value, CircledynError):
+        raise value
+    return value
 
 
 def chart_coeffs(f: RationalMap, in_inverted: bool, out_inverted: bool):
@@ -589,6 +620,10 @@ def _substitute(f: RationalMap, p, q):
 def critical_points(f: RationalMap):
     """The 2d-2 critical points with multiplicity, infinity included when the
     Wronskian degree drops below 2d-2."""
+    return list(memoized(f, "critical_points", lambda: _critical_points(f)))
+
+
+def _critical_points(f: RationalMap):
     from .roots import all_roots
 
     d = f.degree
@@ -608,6 +643,15 @@ def critical_points(f: RationalMap):
     pts.extend([INF] * (expected - finite_mult))
     pts.sort(key=lambda p: p.sort_key())
     return pts
+
+
+def finite_poles(f: RationalMap) -> np.ndarray:
+    """The roots of the denominator, without multiplicity."""
+    from .roots import all_roots
+
+    if f.den.degree < 1:
+        return np.zeros(0, dtype=complex)
+    return memoized(f, "finite_poles", lambda: all_roots(f.den, 1e-12).roots).copy()
 
 
 def even_part_lift(b: RationalMap) -> RationalMap:

@@ -24,6 +24,7 @@ from .algebra import (
     chordal_distance,
     conjugate,
     critical_points,
+    finite_poles,
     first_within,
     sphere_array,
 )
@@ -32,6 +33,7 @@ from .dynamics import (
     periodic_points,
     preimage_points,
     real_multiplier_test,
+    repelling_points,
 )
 from .errors import (
     DegenerateCloud,
@@ -53,6 +55,10 @@ CYCLE_MATCH_TOL = 1e-7
 LANDING_APPROACH_VETO = 1e-3
 PARABOLIC_BAND = 1e-9
 ESCAPE_CAP = 200
+# periods searched for a non-repelling cycle on an invariant circle
+GAP_CYCLE_PERIODS = 3
+NEWTON_REAL_TOL = 1e-13
+NEWTON_REAL_STEPS = 80
 
 LATTES_SIGNATURES = {(2, 2, 2, 2), (2, 4, 4), (3, 3, 3), (2, 3, 6)}
 
@@ -91,8 +97,6 @@ def postcritical_analysis(f: RationalMap, depth: int = POSTCRITICAL_DEPTH) -> Po
     exactly): orbits that creep up on an attracting cycle are reported as
     non-finite, since they converge without ever landing.
     """
-    from .roots import all_roots
-
     # local degree at a critical point = 1 + Wronskian multiplicity
     crit = []
     for p in critical_points(f):
@@ -102,9 +106,7 @@ def postcritical_analysis(f: RationalMap, depth: int = POSTCRITICAL_DEPTH) -> Po
         else:
             crit.append((p, 2))
 
-    den_roots = np.zeros(0, dtype=complex)
-    if f.den.degree >= 1:
-        den_roots = all_roots(f.den, 1e-12).roots
+    den_roots = finite_poles(f)
 
     known_points: list = []
 
@@ -217,7 +219,7 @@ def _compute_orbifold(f: RationalMap, analysis: PostcriticalAnalysis):
                 if contrib is None or (val is not None and contrib > CAP):
                     val = None
                     break
-                val = _lcm(val, contrib)
+                val = math.lcm(val, contrib)
                 if val > CAP:
                     val = None
                     break
@@ -232,10 +234,6 @@ def _compute_orbifold(f: RationalMap, analysis: PostcriticalAnalysis):
         analysis.orbifold_signature = None
     else:
         analysis.orbifold_signature = finite_sig
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +317,6 @@ def lattes_doubling_map(g2: float = 4.0, g3: float = 0.0) -> RationalMap:
 
 # ---------------------------------------------------------------------------
 # classification report
-
-
-VERDICTS = (
-    "CIRCLE_CASE_I",
-    "CIRCLE_CASE_II",
-    "CIRCLE_CASE_III",
-    "LATTES",
-    "POWER_CONJUGATE",
-    "CHEBYSHEV_CONJUGATE",
-    "NO_REAL_STRUCTURE",
-    "INCONCLUSIVE",
-)
 
 
 @dataclass
@@ -453,44 +439,31 @@ def dichotomy_verdict(
         return report
     analysis = postcritical_analysis(f)
     exc = detect_exceptional(f, analysis)
-    if exc == "LATTES":
-        return ClassificationReport(
-            verdict="LATTES",
-            degree=f.degree,
-            real_multiplier=rmt,
-            circle_residual=residual,
-            exceptional=exc,
-            orbifold_signature=analysis.orbifold_signature,
-        )
-    if exc in ("POWER", "CHEBYSHEV"):
-        return ClassificationReport(
-            verdict=f"{exc}_CONJUGATE",
-            degree=f.degree,
-            real_multiplier=rmt,
-            circle_residual=residual,
-            exceptional=exc,
-        )
-    return ClassificationReport(
+    report = ClassificationReport(
         verdict="INCONCLUSIVE",
         degree=f.degree,
         real_multiplier=rmt,
         circle_residual=residual,
         exceptional=exc,
-        inconclusive_reason=(
+    )
+    if exc == "LATTES":
+        report.verdict = "LATTES"
+        report.orbifold_signature = analysis.orbifold_signature
+    elif exc in ("POWER", "CHEBYSHEV"):
+        report.verdict = f"{exc}_CONJUGATE"
+    else:
+        report.inconclusive_reason = (
             "real multipliers hold but neither a containing circle nor a "
             "flat orbifold was resolved numerically"
-        ),
-    )
+        )
+    return report
 
 
 def _repelling_anchor_points(f: RationalMap):
     pts = []
-    cache = {}
     for n in (1, 2):
         try:
-            for orbit in periodic_points(f, n, cache=cache):
-                if orbit.stability == "repelling":
-                    pts.extend(orbit.points)
+            pts.extend(repelling_points(f, n))
         except RootFindingFailed:
             pass
     return pts
@@ -551,7 +524,7 @@ def circle_case_classify(
         m_total = shift.compose(m1)
         g = _realified(conjugate(f, m_total))
     report.normalizer = m_total
-    report.x0 = _pullback_point(m_total, INF)
+    report.x0 = m_total.inverse()(INF)
     report.lambda_x0 = float(lam.real)
 
     xs, _ = _normalized_cloud_angles(m_total, cloud)
@@ -623,15 +596,14 @@ def _max_circle_gap(angles: np.ndarray) -> float:
     return max(float(np.max(gaps)), float(wrap))
 
 
-def _julia_fills_circle(f: RationalMap, circle: GeneralizedCircle, n_max: int = 3) -> bool:
+def _julia_fills_circle(f: RationalMap, circle: GeneralizedCircle) -> bool:
     """With the circle completely invariant, orbits of circle points stay on
     it, so a gap arc must be attracted to a non-repelling cycle lying on the
     circle: the Julia set is the whole circle exactly when no low-period
     non-repelling orbit sits on it."""
-    cache = {}
-    for n in range(1, n_max + 1):
+    for n in range(1, GAP_CYCLE_PERIODS + 1):
         try:
-            orbits = periodic_points(f, n, cache=cache)
+            orbits = periodic_points(f, n)
         except (RootFindingFailed, DegreeCapExceeded):
             break
         for orbit in orbits:
@@ -658,8 +630,7 @@ def _component_swap(g: RationalMap) -> bool:
 def _real_fixed_points(g: RationalMap):
     """Real fixed points of a real map, infinity included when fixed."""
     out = []
-    cache = {}
-    for orbit in periodic_points(g, 1, cache=cache):
+    for orbit in periodic_points(g, 1):
         p = orbit.points[0]
         if p.infinite:
             out.append((p, orbit.multiplier))
@@ -687,10 +658,6 @@ def _select_x0(g: RationalMap):
     # fall back to the most attracting candidate
     candidates.sort(key=lambda t: (abs(t[1]), t[0].sort_key()))
     return candidates[0]
-
-
-def _pullback_point(m: Moebius, p: SpherePoint) -> SpherePoint:
-    return m.inverse()(p)
 
 
 def _interval_hull(xs: np.ndarray):
@@ -771,16 +738,16 @@ def _fixed_point_equation(g: RationalMap):
     )
 
 
-def _newton_real(fun, dfun, x0, tol=1e-13, steps=80):
+def _newton_real(fun, dfun, x0):
     x = float(x0)
-    for _ in range(steps):
+    for _ in range(NEWTON_REAL_STEPS):
         v = fun(x)
         d = dfun(x)
         if not math.isfinite(v) or not math.isfinite(d) or d == 0:
             return x0
         step = v / d
         x -= step
-        if abs(step) <= tol * (1.0 + abs(x)):
+        if abs(step) <= NEWTON_REAL_TOL * (1.0 + abs(x)):
             break
     return x
 

@@ -82,12 +82,13 @@ def _load_map(args) -> RationalMap:
     if args.coeffs:
         with open(args.coeffs) as fh:
             return map_from_coeff_json(fh.read())
-    params = {}
-    for key in ("c", "p", "a", "eps"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return build_example(args.example, **params).map
+    return build_example(args.example, **_example_params(args)).map
+
+
+def _example_params(args) -> dict:
+    """The example-family parameters given on the command line."""
+    keys = ("c", "p", "a", "eps")
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
 def _add_map_args(sub):
@@ -201,8 +202,7 @@ def cmd_poincare(args) -> int:
         "rho_formula": rho_formula,
         "rho_measured": rho_measured,
     }
-    rc = emit(payload, args.out)
-    return rc or EXIT_OK
+    return emit(payload, args.out)
 
 
 def cmd_construct(args) -> int:
@@ -238,11 +238,7 @@ def cmd_examples(args) -> int:
         params = {k: float(v) for k, v in data.items()}
     else:
         family = args.family
-        params = {}
-        for key in ("c", "p", "a", "eps"):
-            val = getattr(args, key, None)
-            if val is not None:
-                params[key] = val
+        params = _example_params(args)
     inst = build_example(family, **params)
     claims = verify_example_claims(inst)
     payload = {

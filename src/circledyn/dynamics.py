@@ -27,6 +27,8 @@ from .algebra import (
     chordal_distances,
     cluster_roots,
     deriv_coeffs,
+    finite_poles,
+    memoized,
     pad_coeffs,
     polyval,
     series_quotient,
@@ -45,10 +47,16 @@ PERIOD_DEGREE_CAP = 4097
 DUPLICATE_CLUSTER = 1e-9
 BURN_IN = 50
 DEDUP_PITCH = 1e-4
+ABERTH_TOL = 1e-13
+ABERTH_MAXITER = 400
 
 
 # ---------------------------------------------------------------------------
 # chart-aware derivatives
+
+
+def _chart_slopes(f: RationalMap) -> "_ChartSlopes":
+    return memoized(f, "chart_slopes", lambda: _ChartSlopes(f))
 
 
 class _ChartSlopes:
@@ -74,7 +82,7 @@ class _ChartSlopes:
 
 def cycle_multiplier(f: RationalMap, points) -> complex:
     """Chain-rule multiplier along a cycle, chart-corrected at infinity/poles."""
-    slope = _ChartSlopes(f)
+    slope = _chart_slopes(f)
     inverted, u = chart_split(sphere_array(points))
     lam = 1.0 + 0.0j
     n = len(u)
@@ -166,9 +174,7 @@ class PeriodicOrbit:
 class _PeriodSolutions:
     finite: np.ndarray
     finite_mult: list
-    inf_periodic: bool
     inf_mult: int
-    projective_total: int
 
 
 def _series_compose(a, b, order):
@@ -228,20 +234,13 @@ def _fixed_point_solutions(f: RationalMap) -> _PeriodSolutions:
     p = Poly(c)
     if p.is_zero:
         raise RootFindingFailed("identity map has no isolated fixed points")
-    d = f.degree
     inf_mult = _infinity_fixed_multiplicity(f, 1)
     if p.degree >= 1:
         rs = all_roots(p, 1e-13)
         finite, mult = rs.roots, rs.multiplicities
     else:
         finite, mult = np.zeros(0, dtype=complex), []
-    return _PeriodSolutions(
-        finite=finite,
-        finite_mult=mult,
-        inf_periodic=inf_mult > 0,
-        inf_mult=inf_mult,
-        projective_total=d + 1,
-    )
+    return _PeriodSolutions(finite, mult, inf_mult)
 
 
 def _orbit_data(f: RationalMap, z: np.ndarray, n: int):
@@ -280,11 +279,11 @@ def _step_quality(f, z: np.ndarray, n: int) -> np.ndarray:
         return np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
 
 
-def _aberth_functional(f, n, m, z0, tol=1e-13, maxiter=400):
+def _aberth_functional(f, n, m, z0):
     """Simultaneous iteration on the period-n equation via functional values."""
     z = z0.astype(complex).copy()
     center = np.median(z.real) + 1j * np.median(z.imag)
-    for _ in range(maxiter):
+    for _ in range(ABERTH_MAXITER):
         ratio = _log_derivative(f, z, n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             invr = 1.0 / ratio
@@ -302,27 +301,32 @@ def _aberth_functional(f, n, m, z0, tol=1e-13, maxiter=400):
         cap = 1.0 + np.abs(z)
         step = np.where(mag > cap, step * (cap / np.maximum(mag, cap)), step)
         z = z - step
-        if np.max(np.abs(step)) <= tol * (1.0 + np.max(np.abs(z))):
+        if np.max(np.abs(step)) <= ABERTH_TOL * (1.0 + np.max(np.abs(z))):
             break
     return z
 
 
-def _period_solutions(f: RationalMap, n: int, cache: dict, seed_cloud=None):
-    if n in cache:
-        return cache[n]
+def _period_solutions(f: RationalMap, n: int) -> _PeriodSolutions:
+    """The period-n solution set of f, solved once per map."""
+    return memoized(f, f"period-{n}", lambda: _solve_period(f, n))
+
+
+def _solve_period(f: RationalMap, n: int) -> _PeriodSolutions:
     d = f.degree
     if d**n + 1 > PERIOD_DEGREE_CAP:
         raise DegreeCapExceeded(
             f"period {n} needs degree {d ** n + 1} > cap {PERIOD_DEGREE_CAP}"
         )
     if n == 1:
-        sol = _fixed_point_solutions(f)
-        cache[1] = sol
-        return sol
+        return _fixed_point_solutions(f)
     inf_mult = _infinity_fixed_multiplicity(f, n)
     m = d**n + 1 - inf_mult
-    if seed_cloud is None:
+    try:
         seed_cloud = _sampler_points(f, max(4 * m, 256), seed=20210 + n)
+    except PreimageSolveFailed:
+        # no repelling cycle of period 1 or 2 to sample backward from (as
+        # while period 2 itself is being solved): seed from a ring
+        seed_cloud = np.zeros(0, dtype=complex)
     z0 = _spread_initial(seed_cloud, m)
     best = None
     for attempt in range(3):
@@ -345,22 +349,13 @@ def _period_solutions(f: RationalMap, n: int, cache: dict, seed_cloud=None):
     if total < m:
         centers, mult, total = _newton_topup(f, n, m, centers, mult)
         if total < m:
-            arr = np.asarray(centers, dtype=complex)
-            arr2, mult2 = _forward_closure(f, n, arr, mult)
-            centers, mult, total = arr2, mult2, sum(mult2)
+            centers, mult = _forward_closure(f, n, centers, mult)
+            total = sum(mult)
     if total != m:
         raise RootFindingFailed(
             f"period-{n} solve found {total} of {m} expected solutions"
         )
-    sol = _PeriodSolutions(
-        finite=centers,
-        finite_mult=list(mult),
-        inf_periodic=inf_mult > 0,
-        inf_mult=inf_mult,
-        projective_total=d**n + 1,
-    )
-    cache[n] = sol
-    return sol
+    return _PeriodSolutions(centers, list(mult), inf_mult)
 
 
 def _validate_multiplicities(f, n, centers, mult):
@@ -444,11 +439,7 @@ def _newton_topup(f, n, m, centers, mult):
         known_mult = np.asarray(mult, dtype=float)
         # hidden roots cluster near known ones and near poles (perturbation
         # bubbles): ring starts with complex offsets reach them
-        anchors = list(known)
-        if f.den.degree >= 1:
-            from .roots import all_roots as _ar
-
-            anchors.extend(_ar(f.den, 1e-12).roots)
+        anchors = [*known, *finite_poles(f)]
         rings = []
         for r in anchors:
             s = max(1.0, abs(r))
@@ -501,7 +492,7 @@ def _spread_initial(cloud: np.ndarray, m: int) -> np.ndarray:
     return base + jitter
 
 
-def periodic_points(f: RationalMap, n: int, cache: dict = None):
+def periodic_points(f: RationalMap, n: int):
     """All orbits of exact period n, with multipliers and stability classes.
 
     The full period-n solution set is grouped into cycles by following the
@@ -511,11 +502,10 @@ def periodic_points(f: RationalMap, n: int, cache: dict = None):
         raise ValueError("periodic points require degree >= 2")
     if n < 1:
         raise ValueError("period must be >= 1")
-    cache = {} if cache is None else cache
-    sol = _period_solutions(f, n, cache)
+    sol = _period_solutions(f, n)
 
     pts = [SpherePoint.of(r) for r in sol.finite]
-    if sol.inf_periodic:
+    if sol.inf_mult > 0:
         pts.append(INF)
     zs = sphere_array(pts)
 
@@ -566,8 +556,7 @@ def periodic_points(f: RationalMap, n: int, cache: dict = None):
 
 def projective_solution_count(f: RationalMap, n: int) -> int:
     """Number of period-n solutions with multiplicity, infinity included."""
-    cache = {}
-    sol = _period_solutions(f, n, cache)
+    sol = _period_solutions(f, n)
     return int(sum(sol.finite_mult)) + sol.inf_mult
 
 
@@ -578,12 +567,11 @@ def projective_solution_count(f: RationalMap, n: int) -> int:
 def real_multiplier_test(f: RationalMap, n_max: int, tol: float = 1e-8) -> dict:
     """Check that every repelling orbit of exact period <= n_max has a real
     multiplier; reports the worst offender and the full multiplier table."""
-    cache = {}
     table = []
     worst = None
     passed = True
     for n in range(1, n_max + 1):
-        for orbit in periodic_points(f, n, cache=cache):
+        for orbit in periodic_points(f, n):
             lam = orbit.multiplier
             entry = {
                 "period": n,
@@ -633,22 +621,20 @@ class MaxEntropySample:
     seed: int
 
 
-def _start_candidates(f: RationalMap, cache=None):
-    cache = {} if cache is None else cache
-    cands = []
+def repelling_points(f: RationalMap, n: int) -> list:
+    """The points of the repelling cycles of exact period n."""
+    return [p for o in periodic_points(f, n) if o.stability == "repelling" for p in o.points]
+
+
+def _start_candidates(f: RationalMap):
     for n in (1, 2):
         try:
-            for orbit in periodic_points(f, n, cache=cache):
-                if orbit.stability == "repelling":
-                    cands.extend(orbit.points)
+            cands = repelling_points(f, n)
         except (RootFindingFailed, DegreeCapExceeded):
             continue
         if cands:
-            break
-    if not cands:
-        raise PreimageSolveFailed("no repelling low-period starting point found")
-    cands.sort(key=lambda p: p.sort_key())
-    return cands
+            return sorted(cands, key=SpherePoint.sort_key)
+    raise PreimageSolveFailed("no repelling low-period starting point found")
 
 
 def _is_exceptional(f: RationalMap, p: SpherePoint) -> bool:
@@ -688,7 +674,7 @@ class ErgodicEstimates:
 
 def _spherical_log_derivatives(f: RationalMap, points) -> np.ndarray:
     """log of the spherical-metric derivative norm of f at each point."""
-    slope = _ChartSlopes(f)
+    slope = _chart_slopes(f)
     z_inv, u = chart_split(sphere_array(points))
     w_inv, v = chart_split(sphere_array(f(p) for p in points))
     out = np.empty(len(u))

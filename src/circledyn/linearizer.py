@@ -22,6 +22,7 @@ from .algebra import (
     RationalMap,
     SpherePoint,
     chordal_distance,
+    critical_points,
     invert_point,
     series_quotient,
 )
@@ -43,6 +44,8 @@ DEFAULT_ORDER = 64
 # reliability cap: inside this radius the truncated-series mass stays small
 # enough that absolute residuals of the functional equation hold at 1e-8
 WELL_CONDITIONED_MASS = 1e7
+# forward steps of each critical orbit searched for the base point
+POSTCRITICAL_CHECK_DEPTH = 30
 
 
 def local_taylor(f: RationalMap, p, order: int):
@@ -243,9 +246,8 @@ def _orbit_hits(f: RationalMap, start, target, depth: int, tol: float) -> bool:
     return False
 
 
-def _check_not_postcritical(f: RationalMap, p: SpherePoint, depth: int = 30):
-    from .algebra import critical_points
-
+def _check_not_postcritical(f: RationalMap, p: SpherePoint):
+    depth = POSTCRITICAL_CHECK_DEPTH
     for c in critical_points(f):
         if chordal_distance(c, p) <= 1e-9 or _orbit_hits(f, c, p, depth, 1e-9):
             raise BasePointPostcritical(

@@ -27,6 +27,8 @@ from .errors import (
 from .roots import roots_with_multiplicity
 
 EX3_MAX_EPS = 0.05
+JACOBIAN_STEP = 1e-7
+MONOTONE_SAMPLES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +259,12 @@ def _ordered_interior(xi) -> bool:
     return bool(np.all(np.diff(xi) > 1e-12))
 
 
-def _numeric_jacobian(fun, u, h=1e-7):
+def _numeric_jacobian(fun, u):
     f0 = fun(u)
     jac = np.zeros((len(f0), len(u)))
     for j in range(len(u)):
         du = u.copy()
-        step = h * max(1.0, abs(u[j]))
+        step = JACOBIAN_STEP * max(1.0, abs(u[j]))
         du[j] += step
         jac[:, j] = (fun(du) - f0) / step
     return jac
@@ -512,8 +514,8 @@ def _interior_minimum(f: RationalMap, lo, hi):
     return min(cands, key=lambda x: f(x).value.real)
 
 
-def _monotone_onto(f: RationalMap, lo, hi, target_lo, target_hi, n=64) -> bool:
-    xs = np.linspace(lo, hi, n)
+def _monotone_onto(f: RationalMap, lo, hi, target_lo, target_hi) -> bool:
+    xs = np.linspace(lo, hi, MONOTONE_SAMPLES)
     vals = [f(x).value.real for x in xs]
     diffs = np.diff(vals)
     monotone = bool(np.all(diffs > -1e-9) or np.all(diffs < 1e-9))

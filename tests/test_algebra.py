@@ -22,10 +22,17 @@ from circledyn.algebra import (
     chordal_distance,
     chordal_distances,
     invert_point,
+    memoized,
     sphere_array,
 )
+from circledyn.classifier import lattes_doubling_map
 from circledyn.dynamics import periodic_points
-from circledyn.errors import DegreeCapExceeded, MapSyntaxError, NotOdd
+from circledyn.errors import (
+    DegreeCapExceeded,
+    MapSyntaxError,
+    NotOdd,
+    RootFindingFailed,
+)
 
 
 def test_eval_monomial():
@@ -271,3 +278,49 @@ def test_chart_split_reads_large_points_and_infinity_in_the_reciprocal_chart():
         want = 0.0 if p.infinite else (1.0 / p.value if inv else p.value)
         # bit for bit the scalar complex division, which multipliers rely on
         assert repr(complex(wk)) == repr(complex(want))
+
+
+# f(infinity) as (re.hex(), im.hex(), infinite), before the chart was memoized
+VALUES_AT_INFINITY = [
+    (parse_map("z^3-3*z"), ("0x0.0p+0", "0x0.0p+0", True)),
+    (parse_map("1/z^2"), ("0x0.0p+0", "0x0.0p+0", False)),
+    (lattes_doubling_map(), ("0x0.0p+0", "0x0.0p+0", True)),
+    (parse_map("(2*z^2+1)/(3*z^2+z)"), ("0x1.5555555555555p-1", "0x0.0p+0", False)),
+]
+
+
+@pytest.mark.parametrize("f, want", VALUES_AT_INFINITY, ids=lambda v: str(v)[:20])
+def test_reciprocal_chart_is_built_once_and_values_at_infinity_stay(f, want):
+    assert f.reciprocal_chart() is f.reciprocal_chart()
+    for _ in range(2):
+        p = f(INF)
+        assert (p.re.hex(), p.im.hex(), p.infinite) == want
+
+
+def test_memo_hands_out_fresh_critical_point_lists():
+    f = parse_map("z^3-3*z")
+    first = critical_points(f)
+    want = list(first)
+    first.clear()
+    assert critical_points(f) == want
+
+
+def test_memo_remembers_failures_and_refuses_reentrant_requests():
+    f = parse_map("z^2")
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return memoized(f, "value", compute)
+
+    for _ in range(2):
+        with pytest.raises(RootFindingFailed, match="value requested while being computed"):
+            memoized(f, "value", compute)
+    assert len(calls) == 1
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        memoized(f, "other", interrupted)
+    assert memoized(f, "other", lambda: 7) == 7

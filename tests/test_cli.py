@@ -174,3 +174,13 @@ def test_examples_file(tmp_path, capsys):
     code, out, _ = run_cli(["examples", "--file", str(cfg)], capsys)
     assert code == 0
     assert json.loads(out)["params"]["c"] == 0.25
+
+
+def test_maps_without_repelling_fixed_points_do_not_recurse(capsys):
+    # z^2 + 1/4 (the cauliflower) has one parabolic fixed point, so period 2
+    # must be solved without backward samples from a repelling fixed point
+    code, out, _ = run_cli(["classify", "--map", "z^2+0.25"], capsys)
+    assert code == 4
+    assert json.loads(out)["verdict"] == "NO_REAL_STRUCTURE"
+    code, _, _ = run_cli(["classify", "--map", "z^2+z"], capsys)
+    assert code in (0, 2, 3, 4)

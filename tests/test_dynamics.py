@@ -1,10 +1,13 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from circledyn import Moebius, conjugate, parse_map
+from circledyn import dynamics
+from circledyn.classifier import dichotomy_verdict
 from circledyn.dynamics import (
     _aberth_functional,
     backward_sample,
@@ -17,6 +20,7 @@ from circledyn.dynamics import (
     projective_solution_count,
     real_multiplier_test,
 )
+from circledyn.errors import RootFindingFailed
 
 
 def _orbit_index(orbits, key):
@@ -229,3 +233,44 @@ def test_aberth_zero_step_emits_no_runtime_warning():
         warnings.simplefilter("error")
         z = _aberth_functional(parse_map("z^2"), 2, 5, z0)
     assert np.all(np.isfinite(z))
+
+
+def test_dichotomy_verdict_solves_each_period_once(monkeypatch):
+    # every period-n solve reads the multiplicity of infinity once (Aberth
+    # itself may retry within one solve: z^3 - 3z takes two tries at n = 4)
+    solves = Counter()
+    inf_mult = dynamics._infinity_fixed_multiplicity
+
+    def counted(f, n):
+        solves[id(f), n] += 1
+        return inf_mult(f, n)
+
+    monkeypatch.setattr(dynamics, "_infinity_fixed_multiplicity", counted)
+    f = parse_map("z^3-3*z")
+    dichotomy_verdict(f)
+    assert {n: solves[id(f), n] for n in range(1, 7)} == {n: 1 for n in range(1, 7)}
+
+
+def test_failed_period_solve_is_remembered(monkeypatch):
+    calls = []
+
+    def failing(f):
+        calls.append(f)
+        raise RootFindingFailed("no fixed points")
+
+    monkeypatch.setattr(dynamics, "_fixed_point_solutions", failing)
+    f = parse_map("z^2-2")
+    for solve in (periodic_points, projective_solution_count, periodic_points):
+        with pytest.raises(RootFindingFailed, match="^no fixed points$"):
+            solve(f, 1)
+    assert calls == [f]
+
+
+def test_mutating_periodic_points_leaves_the_memo_intact():
+    f = parse_map("z^2-2")
+    first = periodic_points(f, 2)
+    want = [(o.multiplier, [p.sort_key() for p in o.points]) for o in first]
+    first[0].points.reverse()
+    first.clear()
+    again = periodic_points(f, 2)
+    assert [(o.multiplier, [p.sort_key() for p in o.points]) for o in again] == want
