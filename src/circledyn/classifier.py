@@ -422,7 +422,14 @@ def dichotomy_verdict(
 ) -> ClassificationReport:
     """Full dichotomy run: real-multiplier predicate, then circle fit, then
     the circle-case analysis or exceptional recognition."""
-    rmt = real_multiplier_test(f, n_max, tol)
+    try:
+        rmt = real_multiplier_test(f, n_max, tol)
+    except RootFindingFailed as exc:
+        return ClassificationReport(
+            verdict="INCONCLUSIVE",
+            degree=f.degree,
+            inconclusive_reason=f"real-multiplier test: {exc}",
+        )
     if not rmt["passed"]:
         return ClassificationReport(
             verdict="NO_REAL_STRUCTURE", degree=f.degree, real_multiplier=rmt

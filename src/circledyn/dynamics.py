@@ -49,6 +49,7 @@ BURN_IN = 50
 DEDUP_PITCH = 1e-4
 ABERTH_TOL = 1e-13
 ABERTH_MAXITER = 400
+RECIPROCAL_BLOCK = 1 << 16  # complex entries per row block (1 MiB)
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +280,42 @@ def _step_quality(f, z: np.ndarray, n: int) -> np.ndarray:
         return np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
 
 
+def _reciprocal_sums(z, known, weights=1.0, buf=None, skip_diagonal=False):
+    """Sum_j weights_j / (z_i - known_j) for each z_i, in row blocks of about
+    RECIPROCAL_BLOCK entries so memory stays O(len(z) + len(known)).  With
+    skip_diagonal, known is z and the j = i terms are left out (the Aberth
+    sum).  A caller that sums repeatedly passes `buf` from `_block_buffer`."""
+    if buf is None:
+        buf = _block_buffer(len(z), len(known))
+    out = np.empty(len(z), dtype=complex)
+    rows = len(buf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i0 in range(0, len(z), rows):
+            i1 = min(i0 + rows, len(z))
+            block = buf[: i1 - i0]
+            np.subtract(z[i0:i1, None], known[None, :], out=block)
+            if skip_diagonal:
+                np.fill_diagonal(block[:, i0:i1], np.inf)
+            np.divide(weights, block, out=block)
+            np.sum(block, axis=1, out=out[i0:i1])
+    return out
+
+
+def _block_buffer(height: int, width: int) -> np.ndarray:
+    rows = max(1, min(height, RECIPROCAL_BLOCK // max(width, 1)))
+    return np.empty((rows, width), dtype=complex)
+
+
 def _aberth_functional(f, n, m, z0):
     """Simultaneous iteration on the period-n equation via functional values."""
     z = z0.astype(complex).copy()
     center = np.median(z.real) + 1j * np.median(z.imag)
+    buf = _block_buffer(len(z), len(z))
     for _ in range(ABERTH_MAXITER):
         ratio = _log_derivative(f, z, n)
+        s = _reciprocal_sums(z, z, buf=buf, skip_diagonal=True)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             invr = 1.0 / ratio
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
             denom = 1.0 - invr * s
             step = np.where(np.abs(denom) > 1e-300, invr / denom, invr)
         bad = ~np.isfinite(step)
@@ -395,7 +421,7 @@ def _forward_closure(f, n, centers, mult):
             for _ in range(30):
                 ratio = _log_derivative(f, wz, n)
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    ratio = ratio - np.sum(known_mult / (wz[0] - cur))
+                    ratio = ratio - _reciprocal_sums(wz, cur, known_mult)
                     step = 1.0 / ratio
                 if not np.all(np.isfinite(step)):
                     break
@@ -451,9 +477,7 @@ def _newton_topup(f, n, m, centers, mult):
             ratio = _log_derivative(f, z, n)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 if known.size:
-                    ratio = ratio - np.sum(
-                        known_mult[None, :] / (z[:, None] - known[None, :]), axis=1
-                    )
+                    ratio = ratio - _reciprocal_sums(z, known, known_mult)
                 step = 1.0 / ratio
             step = np.where(np.isfinite(step), step, 0.0)
             z = z - step

@@ -184,3 +184,23 @@ def test_maps_without_repelling_fixed_points_do_not_recurse(capsys):
     assert json.loads(out)["verdict"] == "NO_REAL_STRUCTURE"
     code, _, _ = run_cli(["classify", "--map", "z^2+z"], capsys)
     assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "args, period",
+    [
+        (["--map", "z^2+z"], 4),
+        (["--map", "z^2-0.75"], 2),
+        (["--map", "1/z^2"], 2),
+        (["--example", "EX2", "--c", "0.9"], 5),
+    ],
+)
+def test_period_solve_shortfall_is_inconclusive(args, period, capsys):
+    code, out, err = run_cli(["classify", *args], capsys)
+    assert code == 3
+    data = json.loads(out)
+    assert data["verdict"] == "INCONCLUSIVE"
+    assert data["inconclusive_reason"].startswith(
+        f"real-multiplier test: period-{period} solve found "
+    )
+    assert "verdict: INCONCLUSIVE" in err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -274,3 +275,67 @@ def test_mutating_periodic_points_leaves_the_memo_intact():
     first.clear()
     again = periodic_points(f, 2)
     assert [(o.multiplier, [p.sort_key() for p in o.points]) for o in again] == want
+
+
+def _dense_aberth_sums(z):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        return np.sum(1.0 / diff, axis=1)
+
+
+def _dense_weighted_sums(z, k, w):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sum(w[None, :] / (z[:, None] - k[None, :]), axis=1)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, "double"])
+def test_reciprocal_sums_equal_the_dense_sums_bit_for_bit(monkeypatch, extra):
+    # 8 known points give 16 rows per block: cover one below, at and one
+    # above a block, and two blocks plus one row
+    monkeypatch.setattr(dynamics, "RECIPROCAL_BLOCK", 128)
+    rows = 33 if extra == "double" else 16 + extra
+    rng = np.random.default_rng(rows)
+    k = rng.normal(size=8) + 1j * rng.normal(size=8)
+    w = rng.integers(1, 4, size=8).astype(float)
+    z = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    z[rows // 2] = k[3]  # an exact collision: that row is not finite
+    got = dynamics._reciprocal_sums(z, k, w)
+    assert np.array_equal(_bits(got), _bits(_dense_weighted_sums(z, k, w)))
+    assert not np.isfinite(got[rows // 2])
+
+    # the Aberth sum over the points themselves, 16 / rows per block
+    monkeypatch.setattr(dynamics, "RECIPROCAL_BLOCK", 16 * rows)
+    z[1] = z[rows - 1]  # two equal points
+    got = dynamics._reciprocal_sums(z, z, skip_diagonal=True)
+    assert np.array_equal(_bits(got), _bits(_dense_aberth_sums(z)))
+    assert not np.isfinite(got[1]) and not np.isfinite(got[rows - 1])
+
+
+def test_reciprocal_sums_of_one_row_match_the_closure_sum():
+    rng = np.random.default_rng(5)
+    k = rng.normal(size=200) + 1j * rng.normal(size=200)
+    w = np.ones(200)
+    wz = np.array([0.3 + 0.1j])
+    got = dynamics._reciprocal_sums(wz, k, w)
+    assert got.shape == (1,)
+    assert np.array_equal(_bits(got), _bits([np.sum(w / (wz[0] - k))]))
+    assert np.array_equal(_bits(dynamics._reciprocal_sums(wz, k[:0], w[:0])), _bits([0]))
+
+
+def test_aberth_memory_does_not_grow_with_the_square_of_the_degree(monkeypatch):
+    # a dense m x m sum would allocate 16 m^2 bytes, ~77 MB at m = 2200
+    monkeypatch.setattr(dynamics, "ABERTH_MAXITER", 2)
+    m = 2200
+    z0 = 2.0 * np.exp(2j * np.pi * np.arange(m) / m)
+    tracemalloc.start()
+    try:
+        _aberth_functional(parse_map("z^2-1"), 11, m, z0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
