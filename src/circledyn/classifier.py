@@ -39,6 +39,7 @@ from .errors import (
     DegenerateCloud,
     DegeneratePoints,
     DegreeCapExceeded,
+    PreimageSolveFailed,
     RootFindingFailed,
 )
 from .geometry import (
@@ -47,7 +48,10 @@ from .geometry import (
     best_circle,
     containment_residual,
     invariance_check,
+    is_real,
     normalize_to_real_line,
+    real_critical_points,
+    real_poles,
 )
 
 POSTCRITICAL_DEPTH = 60
@@ -401,14 +405,8 @@ class ClassificationReport:
 
 def _realified(g: RationalMap) -> RationalMap:
     """Zero rounding-level imaginary parts of a real-conjugatable map."""
-    scale = max(
-        float(np.max(np.abs(g.num.coeffs))), float(np.max(np.abs(g.den.coeffs)))
-    )
-    worst = max(
-        float(np.max(np.abs(g.num.coeffs.imag))),
-        float(np.max(np.abs(g.den.coeffs.imag))),
-    )
-    if worst > 1e-6 * scale:
+    coeffs = np.concatenate([g.num.coeffs, g.den.coeffs])
+    if np.max(np.abs(coeffs.imag)) > 1e-6 * np.max(np.abs(coeffs)):
         return g
     return RationalMap(g.num.coeffs.real, g.den.coeffs.real, reduce=False)
 
@@ -441,7 +439,16 @@ def dichotomy_verdict(
     except (DegenerateCloud, DegeneratePoints):
         circle, residual = None, math.inf
     if circle is not None and residual <= CIRCLE_ACCEPT_RESIDUAL:
-        report = circle_case_classify(f, circle, cloud=cloud, rmt=rmt, seed=seed)
+        try:
+            report = circle_case_classify(f, circle, cloud=cloud, rmt=rmt, seed=seed)
+        except (DegenerateCloud, DegeneratePoints, PreimageSolveFailed, RootFindingFailed) as exc:
+            return ClassificationReport(
+                verdict="INCONCLUSIVE",
+                degree=f.degree,
+                real_multiplier=rmt,
+                circle_residual=residual,
+                inconclusive_reason=f"circle case: {exc}",
+            )
         report.circle_residual = residual
         return report
     analysis = postcritical_analysis(f)
@@ -484,12 +491,12 @@ def circle_case_classify(
     seed: int = 2024,
     cloud_size: int = 3000,
 ) -> ClassificationReport:
-    """Circle-case analysis for a map whose Julia set lies on the circle."""
+    """Circle-case analysis for a map whose Julia set lies on the circle.
+    Case I (no critical point on the circle, or the circle completely
+    invariant) is decided exactly on the map g normalized to the real line."""
     if cloud is None:
         cloud = julia_cloud(f, cloud_size, seed)
     residual = containment_residual(circle, cloud)
-    crit = critical_points(f)
-    crit_on_circle = [p for p in crit if circle.point_residual(p) <= 1e-6]
     inv = invariance_check(f, circle)
 
     report = ClassificationReport(
@@ -505,17 +512,16 @@ def circle_case_classify(
     m1 = normalize_to_real_line(circle)
     g = _realified(conjugate(f, m1))
 
-    if not crit_on_circle or inv["completely_invariant"]:
+    if not real_critical_points(g) or inv["completely_invariant"]:
         report.verdict = "CIRCLE_CASE_I"
         report.normalizer = m1
-        xs, _ = _normalized_cloud_angles(m1, cloud)
         report.normalized_map = g
-        report.normalized_cloud = xs
+        report.normalized_cloud = _normalized_cloud(m1, cloud)
         report.julia_is_circle = _julia_fills_circle(f, circle)
         report.residuals["circle_gap_statistic"] = _max_circle_gap(
             _own_circle_angles(circle, cloud)
         )
-        report.swap_components = _component_swap(g)
+        report.swap_components = inv["real_line_degree"] < 0
         return report
 
     # locate x0: a real fixed point with multiplier in [-1, 1]
@@ -534,7 +540,7 @@ def circle_case_classify(
     report.x0 = m_total.inverse()(INF)
     report.lambda_x0 = float(lam.real)
 
-    xs, _ = _normalized_cloud_angles(m_total, cloud)
+    xs = _normalized_cloud(m_total, cloud)
     report.normalized_map = g
     report.normalized_cloud = xs
     a, b = _interval_hull(xs)
@@ -544,26 +550,14 @@ def circle_case_classify(
 
     contained, margin = _image_in_interval(g, a, b)
     report.residuals["interval_image_margin"] = margin
-    if contained:
-        report.verdict = "CIRCLE_CASE_II"
-    else:
-        report.verdict = "CIRCLE_CASE_III"
+    report.verdict = "CIRCLE_CASE_II" if contained else "CIRCLE_CASE_III"
     report.escape_times = critical_escape_times(f, report, ESCAPE_CAP)
     return report
 
 
-def _normalized_cloud_angles(m: Moebius, cloud):
-    xs = []
-    angles = []
-    for p in cloud:
-        q = m(p)
-        if q.infinite:
-            xs.append(math.inf)
-            angles.append(math.pi)
-        else:
-            xs.append(q.value.real)
-            angles.append(2.0 * math.atan(q.value.real))
-    return np.asarray(xs, dtype=float), np.asarray(angles, dtype=float)
+def _normalized_cloud(m: Moebius, cloud) -> np.ndarray:
+    """The cloud's coordinates on the normalized real line, infinity as inf."""
+    return np.asarray([math.inf if q.infinite else q.re for q in map(m, cloud)], dtype=float)
 
 
 def _own_circle_angles(circle: GeneralizedCircle, cloud) -> np.ndarray:
@@ -621,34 +615,16 @@ def _julia_fills_circle(f: RationalMap, circle: GeneralizedCircle) -> bool:
     return True
 
 
-def _component_swap(g: RationalMap) -> bool:
-    """Does the map exchange the two sides of the invariant line?  Tracked
-    through the orbit of one off-line point."""
-    z = SpherePoint.of(0.37 + 0.9j)
-    w = g(z)
-    if w.infinite or abs(w.value.imag) < 1e-12:
-        z = SpherePoint.of(-0.21 + 1.3j)
-        w = g(z)
-        if w.infinite or abs(w.value.imag) < 1e-12:
-            return False
-    return (z.value.imag > 0) != (w.value.imag > 0)
-
-
-def _real_fixed_points(g: RationalMap):
-    """Real fixed points of a real map, infinity included when fixed."""
-    out = []
-    for orbit in periodic_points(g, 1):
-        p = orbit.points[0]
-        if p.infinite:
-            out.append((p, orbit.multiplier))
-        elif abs(p.im) <= 1e-7 * (1.0 + abs(p.re)):
-            out.append((SpherePoint.of(p.re), orbit.multiplier))
-    return out
-
-
 def _select_x0(g: RationalMap):
+    """A real fixed point of the real map g, infinity included, with its
+    multiplier in [-1, 1]; (None, None) when there is none."""
     candidates = []
-    for p, lam in _real_fixed_points(g):
+    for orbit in periodic_points(g, 1):
+        p, lam = orbit.points[0], orbit.multiplier
+        if not p.infinite:
+            if not is_real(p.value):
+                continue
+            p = SpherePoint.of(p.re)
         if abs(lam.imag) <= 1e-6 and abs(lam.real) <= 1.0 + PARABOLIC_BAND:
             candidates.append((p, lam))
     if not candidates:
@@ -703,19 +679,10 @@ def _resolve_endpoints(g: RationalMap, a: float, b: float, xs: np.ndarray):
 
 
 def _endpoint_invariance_residual(g: RationalMap, a: float, b: float) -> float:
-    def image_dist(x):
-        v = g(SpherePoint.of(x))
-        dists = [chordal_distance(v, SpherePoint.of(a))]
-        if math.isinf(b):
-            dists.append(chordal_distance(v, INF))
-        else:
-            dists.append(chordal_distance(v, SpherePoint.of(b)))
-        return min(dists)
-
-    res = image_dist(a)
-    if not math.isinf(b):
-        res = max(res, image_dist(b))
-    return res
+    """Chordal distance from the image of each finite endpoint to {a, b}."""
+    ends = [SpherePoint.of(a), SpherePoint.of(b)]
+    images = [g(ends[0])] if math.isinf(b) else [g(p) for p in ends]
+    return max(min(chordal_distance(v, q) for q in ends) for v in images)
 
 
 def _polish_left_endpoint_with_infinite_partner(
@@ -818,35 +785,30 @@ def _polish_endpoints(g: RationalMap, a: float, b: float):
 
 def _image_in_interval(g: RationalMap, a: float, b: float):
     """Does g([a, b]) stay inside [a, b] (with the right endpoint possibly
-    infinite)?  Returns (contained, signed margin of the worst excursion)."""
+    infinite)?  Returns (contained, signed margin of the worst excursion).
+
+    Exact: g is monotone between its real critical points and poles, so its
+    extremes on [a, b] are among its values at a, at b (the limit at +inf
+    when b is infinite), at the critical points inside and at the poles
+    inside, where it is infinite."""
+    inside = [x for x in real_critical_points(g) if a < x < b]
+    values = [_real_eval(g, x) for x in [a, *inside, b]]
+    lead = (g.num.coeffs[-1] / g.den.coeffs[-1]).real
+    if math.isinf(b) and math.isinf(values[-1]) and lead < 0:
+        values[-1] = -math.inf  # g(x) -> -inf as x -> +inf
+    if any(a < x < b for x in real_poles(g)):
+        values.append(math.inf)
+    # with b infinite, the scale is that of a sweep out to a + 1e6
     upper = b if math.isfinite(b) else max(10.0 * (abs(a) + 1.0), a + 1e6)
-    grid = np.linspace(a, upper, 4097)
-    xs = list(grid)
-    for p, _deg in _real_critical_points(g):
-        if a <= p <= upper:
-            xs.append(p)
     tol = 1e-7 * max(1.0, abs(a), abs(upper))
-    worst = 0.0
-    for x in xs:
-        v = _real_eval(g, x)
-        if math.isinf(v):
-            if math.isinf(b) and v > 0:
-                continue
-            worst = max(worst, math.inf)
-            continue
-        if v < a - 1e-12:
-            worst = max(worst, a - v)
-        if math.isfinite(b) and v > b + 1e-12:
-            worst = max(worst, v - b)
+
+    def excursion(v):
+        if v == b == math.inf:
+            return 0.0
+        return max(a - v if v < a - 1e-12 else 0.0, v - b if v > b + 1e-12 else 0.0)
+
+    worst = max(map(excursion, values))
     return worst <= tol, worst
-
-
-def _real_critical_points(g: RationalMap):
-    out = []
-    for p in critical_points(g):
-        if not p.infinite and abs(p.im) <= 1e-7 * (1.0 + abs(p.re)):
-            out.append((p.re, 2))
-    return out
 
 
 def critical_escape_times(f: RationalMap, report: ClassificationReport, cap: int = ESCAPE_CAP) -> dict:
@@ -859,8 +821,8 @@ def critical_escape_times(f: RationalMap, report: ClassificationReport, cap: int
     a, b = report.interval_I
     tol = 1e-9 * max(1.0, abs(a), 0.0 if math.isinf(b) else abs(b))
     out = {}
-    for x, _deg in _real_critical_points(g):
-        if not (a - 1e-9 <= x and (math.isinf(b) or x <= b + 1e-9)):
+    for x in real_critical_points(g):
+        if not (a - 1e-9 <= x < math.inf and (math.isinf(b) or x <= b + 1e-9)):
             continue
         key = repr(round(float(x), 12))
         orbit = [x]

@@ -1,5 +1,6 @@
 """Generalized circles (circles and lines on the sphere): fitting, residuals,
-invariance under a map, and normalization to the extended real line.
+invariance under a map, normalization to the extended real line, and the
+exact rule for a map real there: its real critical points and signed degree.
 
 A generalized circle is the zero set of the Hermitian form
 A |z|^2 + 2 Re(conj(B) z) + C with A, C real and |B|^2 - A C > 0.
@@ -16,18 +17,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    COEFF_DROP_TOL,
     INF,
     Moebius,
     RationalMap,
     SpherePoint,
+    chart_coeffs,
     chart_split,
     chordal_distance,
+    chordal_distances,
+    conjugate,
+    critical_points,
+    finite_poles,
     sphere_array,
 )
 from .dynamics import preimage_points
 from .errors import DegenerateCloud, DegeneratePoints
 
 CIRCLE_ACCEPT_RESIDUAL = 1e-4
+# a circle is a line when infinity lies within this residual of it, which
+# is |A| / (2 |B|): a fitted line keeps an A of fit-noise size
+LINE_TOL = 1e-9
+# a root is real when its imaginary part is below this, relative to 1 + |re|
+REAL_ROOT_TOL = 1e-7
+# circle samples behind the reported invariance residuals
+FORWARD_SAMPLES = 256
+PREIMAGE_SAMPLES = 64
+# candidate regular values for the signed degree, spread evenly on R-hat
+DEGREE_PROBES = tuple(math.tan(math.pi * ((k + 0.5) / 9 - 0.5)) for k in range(9))
 
 
 @dataclass(frozen=True)
@@ -42,7 +59,7 @@ class GeneralizedCircle:
 
     @property
     def is_line(self) -> bool:
-        return abs(self.A) < 1e-12
+        return abs(self.A) <= 2.0 * LINE_TOL * abs(complex(self.B))
 
     def normalized(self) -> "GeneralizedCircle":
         scale = max(abs(self.A), abs(self.B), abs(self.C))
@@ -194,21 +211,66 @@ def _well_separated_triple(pts):
     return first, second, third
 
 
-def invariance_check(
-    f: RationalMap, circle: GeneralizedCircle, forward_samples=256, preimage_samples=64
-) -> dict:
-    """Forward residual of mapped circle samples, and complete invariance via
-    the preimages of circle points."""
-    images = [f(p) for p in circle.sample_points(forward_samples)]
+def invariance_check(f: RationalMap, circle: GeneralizedCircle) -> dict:
+    """Complete invariance of the circle under f, decided by the signed degree
+    of the normalized map on the real line.  The residuals of mapped circle
+    samples and of the preimages of circle samples are evidence only."""
+    images = [f(p) for p in circle.sample_points(FORWARD_SAMPLES)]
     fwd_res = float(np.max(residuals(circle, sphere_array(images))))
-    pre = [q for p in circle.sample_points(preimage_samples) for q in preimage_points(f, p)]
+    pre = [q for p in circle.sample_points(PREIMAGE_SAMPLES) for q in preimage_points(f, p)]
     pre_res = float(np.max(residuals(circle, sphere_array(pre))))
+    degree = real_line_degree(conjugate(f, normalize_to_real_line(circle)))
     return {
         "forward_residual": fwd_res,
         "preimage_residual": pre_res,
-        "forward_invariant": fwd_res <= 1e-6,
-        "completely_invariant": pre_res <= 1e-6,
+        "real_line_degree": degree,
+        "completely_invariant": abs(degree) == f.degree,
     }
+
+
+def is_real(z) -> bool:
+    return abs(z.imag) <= REAL_ROOT_TOL * (1.0 + abs(z.real))
+
+
+def real_critical_points(g: RationalMap) -> list:
+    """The critical points of g on the extended real line, for g real there:
+    ascending, with multiplicity, infinity last as math.inf."""
+    return [
+        math.inf if p.infinite else p.re
+        for p in critical_points(g)
+        if p.infinite or is_real(p.value)
+    ]
+
+
+def real_poles(g: RationalMap) -> list:
+    """The finite real poles of g, without multiplicity."""
+    return [z.real for z in finite_poles(g) if is_real(z)]
+
+
+def real_line_degree(g: RationalMap) -> int:
+    """The signed degree of g on the extended real line, for g real there:
+    the sum of sign g' over the real preimages of one regular real value,
+    infinity read in the orientation-preserving chart x -> -1/x.  The line is
+    completely invariant exactly when it is +-deg g; a negative degree means
+    g swaps the half-planes.  Only the real parts of g's coefficients are
+    read, so the rounding-level imaginary parts of a conjugate do not matter."""
+    crit_values = sphere_array([g(p) for p in critical_points(g)])
+    y = max(DEGREE_PROBES, key=lambda t: np.min(chordal_distances(t, crit_values), initial=2.0))
+    num, den = (c.real for c in chart_coeffs(g, False, False))
+    p = (num - y * den)[::-1]
+    degree = 0
+    if abs(p[0]) <= COEFF_DROP_TOL * np.max(np.abs(p)):
+        # y = g(infinity): there g - y ~ c / x with c = p_{d-1} / den_d
+        degree -= int(np.sign(p[1] * den[-1]))
+        p = p[1:]
+    # y is regular, so its preimages are simple; a real root of a real
+    # companion matrix has imaginary part exactly 0, and a near-double real
+    # pair split into a complex one would add +1 - 1 = 0 anyway
+    roots = np.roots(p)
+    xs = roots.real[roots.imag == 0]
+    slope = np.polyval(np.polyder(p), xs) * np.polyval(den[::-1], xs)
+    degree += int(np.sum(np.sign(slope)))
+    return degree
 
 
 def normalize_to_real_line(circle: GeneralizedCircle) -> Moebius:

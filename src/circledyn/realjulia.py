@@ -17,18 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Poly, RationalMap, SpherePoint, deriv_coeffs, polyval
+from .algebra import Poly, RationalMap, deriv_coeffs, polyval
 from .errors import (
     EX3ConstructionFailed,
     NewtonDiverged,
     ParamOutOfRange,
     SpecViolation,
 )
+from .geometry import real_critical_points, real_line_degree, real_poles
 from .roots import roots_with_multiplicity
 
 EX3_MAX_EPS = 0.05
 JACOBIAN_STEP = 1e-7
-MONOTONE_SAMPLES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +428,11 @@ def verify_example_claims(inst: ExampleInstance) -> dict:
     raise ParamOutOfRange(f"unknown family {inst.family}")
 
 
-def ex1_completely_invariant_real_line(f: RationalMap, samples: int = 512) -> bool:
-    """Direct preimage sampling: are all preimages of the extended real line
-    real?  (This is the Blaschke-product criterion for these maps.)"""
-    from .dynamics import preimage_points
-    from .geometry import REAL_LINE
-
-    for k in range(samples):
-        x = math.tan(math.pi * ((k + 0.5) / samples - 0.5))
-        for q in preimage_points(f, SpherePoint.of(x)):
-            if REAL_LINE.point_residual(q) > 1e-6:
-                return False
-    return True
+def ex1_completely_invariant_real_line(f: RationalMap) -> bool:
+    """Is the extended real line completely invariant, that is, is the
+    signed degree of f there +-deg f?  (The Blaschke-product criterion for
+    these maps.)"""
+    return abs(real_line_degree(f)) == f.degree
 
 
 def _verify_ex1(inst: ExampleInstance) -> dict:
@@ -503,26 +496,17 @@ def _verify_ex1_horseshoe(f: RationalMap, c: float) -> dict:
 
 
 def _interior_minimum(f: RationalMap, lo, hi):
-    w = f.num.deriv() * f.den - f.num * f.den.deriv()
-    cands = [
-        r.real
-        for r in roots_with_multiplicity(w)
-        if abs(r.imag) < 1e-9 and lo < r.real < hi
-    ]
-    if not cands:
-        return None
-    return min(cands, key=lambda x: f(x).value.real)
+    cands = [x for x in real_critical_points(f) if lo < x < hi]
+    return min(cands, key=lambda x: f(x).value.real, default=None)
 
 
 def _monotone_onto(f: RationalMap, lo, hi, target_lo, target_hi) -> bool:
-    xs = np.linspace(lo, hi, MONOTONE_SAMPLES)
-    vals = [f(x).value.real for x in xs]
-    diffs = np.diff(vals)
-    monotone = bool(np.all(diffs > -1e-9) or np.all(diffs < 1e-9))
-    covered = (
-        min(vals[0], vals[-1]) <= target_lo + 1e-6
-        and max(vals[0], vals[-1]) >= target_hi - 1e-6
-    )
+    """Is f monotone on [lo, hi] (no real critical point or pole strictly
+    inside) with its end values covering [target_lo, target_hi]?"""
+    breaks = real_critical_points(f) + real_poles(f)
+    monotone = not any(lo < x < hi for x in breaks)
+    ends = (f(lo).value.real, f(hi).value.real)
+    covered = min(ends) <= target_lo + 1e-6 and max(ends) >= target_hi - 1e-6
     return monotone and covered
 
 
@@ -549,8 +533,8 @@ def _verify_ex2(inst: ExampleInstance) -> dict:
     x1, x2, x3 = cuts
     big = 50.0 / (1.0 - c)
     intervals_ok = (-1.0 < x1 < 1.0) and (-1.0 < x2 < 1.0) and (x3 > 1.0)
-    b1 = _covers_downward(f, -1.0, x1)
-    b2 = _covers_upward(f, x2, 1.0)
+    b1 = _covers_from_pole(f, -1.0, x1)
+    b2 = _covers_from_pole(f, 1.0, x2)
     b3 = _monotone_onto(f, x3, big, -1.0, f(big).value.real - 1.0)
     out["three_full_branches"] = {
         "passed": intervals_ok and b1 and b2 and b3,
@@ -566,17 +550,11 @@ def _verify_ex2(inst: ExampleInstance) -> dict:
     return out
 
 
-def _covers_downward(f, pole, cut) -> bool:
-    # branch from a pole (value +inf) falling to -1 at the cut
+def _covers_from_pole(f, pole, cut) -> bool:
+    # branch from a pole (value +inf) to -1 at the cut
     probe = pole + 1e-6 * (cut - pole)
     hi = f(probe).value.real
-    return hi > 1e3 and _monotone_onto(f, probe, cut, -1.0, 1e3)
-
-
-def _covers_upward(f, cut, pole) -> bool:
-    probe = pole + 1e-6 * (cut - pole)
-    hi = f(probe).value.real
-    return hi > 1e3 and _monotone_onto(f, cut, probe, -1.0, 1e3)
+    return hi > 1e3 and _monotone_onto(f, min(probe, cut), max(probe, cut), -1.0, 1e3)
 
 
 def _verify_ex3(inst: ExampleInstance) -> dict:
@@ -587,12 +565,7 @@ def _verify_ex3(inst: ExampleInstance) -> dict:
     lo, hi = inst.data["escape_interval"]
     out = {}
     delta = 10.0 * math.sqrt(eps)
-    w = f.num.deriv() * f.den - f.num * f.den.deriv()
-    crit_near_b = sorted(
-        r.real
-        for r in roots_with_multiplicity(w)
-        if abs(r.imag) <= 1e-7 and abs(r.real - b) <= max(delta, 0.2)
-    )
+    crit_near_b = [x for x in real_critical_points(f) if abs(x - b) <= max(delta, 0.2)]
     if len(crit_near_b) != 2:
         out["two_critical_values_near_c"] = {
             "passed": False,

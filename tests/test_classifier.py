@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circledyn import Moebius, conjugate, parse_map
+from circledyn import Moebius, classifier, conjugate, parse_map
 from circledyn.classifier import (
     circle_case_classify,
     critical_escape_times,
@@ -13,7 +13,8 @@ from circledyn.classifier import (
     dichotomy_verdict,
 )
 from circledyn.dynamics import preimage_points
-from circledyn.geometry import REAL_LINE, UNIT_CIRCLE
+from circledyn.errors import DegeneratePoints, DegreeCapExceeded
+from circledyn.geometry import REAL_LINE, UNIT_CIRCLE, real_line_degree
 
 
 def test_postcritical_squaring():
@@ -301,3 +302,89 @@ def test_case_i_verdict_survives_conjugation():
         assert rep.verdict == "CIRCLE_CASE_I"
         assert rep.julia_is_circle is True
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# exact real-line decisions: signed degree, swap sign, Moebius conjugation
+
+EX1_QUARTER = "(z^2-4)/(1+0.25*z)"
+EX1_BLASCHKE = "(z^2-4)/(1+0.6*z)"
+SWEEP_MAPS = ("z^2", "z^2-2", EX1_QUARTER, EX1_BLASCHKE)
+
+
+def _seeded_conjugators(count):
+    """Draws of numpy.random.default_rng(1): complex-normal (a, b, c, d)."""
+    rng = np.random.default_rng(1)
+    return [
+        Moebius(*(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+        for _ in range(count)
+    ]
+
+
+def test_real_line_degree_ex1_flips_at_one_half():
+    cs = (0.25, 0.499, 0.5016, 0.6)
+    degrees = [real_line_degree(parse_map(f"(z^2-4)/(1+{c}*z)")) for c in cs]
+    assert degrees == [0, 0, 2, 2]
+    assert real_line_degree(parse_map("(z^2-4)/(1-0.6*z)")) == -2
+
+
+def test_ex1_quarter_conjugate_is_case_iii():
+    m = Moebius(
+        0.110464 + 1.358823j, 0.063782 - 1.547145j, -1.225056 + 0.859383j, 0.07614 + 0.119354j
+    )
+    rep = dichotomy_verdict(conjugate(parse_map(EX1_QUARTER), m), n_max=4)
+    assert rep.verdict == "CIRCLE_CASE_III"
+
+
+def test_verdicts_survive_seeded_conjugation():
+    conjugators = _seeded_conjugators(16)
+    for text in SWEEP_MAPS:
+        f = parse_map(text)
+        want = dichotomy_verdict(f, n_max=4).verdict
+        for k, m in enumerate(conjugators):
+            rep = dichotomy_verdict(conjugate(f, m), n_max=4)
+            assert rep.verdict == want, (text, k, rep.inconclusive_reason)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="period engine: the period-6 solve of this conjugate finds 67 of 65 solutions",
+)
+def test_squaring_conjugate_at_default_nmax():
+    m = _seeded_conjugators(3)[2]
+    rep = dichotomy_verdict(conjugate(parse_map("z^2"), m))
+    assert rep.verdict == "CIRCLE_CASE_I", rep.inconclusive_reason
+
+
+def test_swap_components_is_the_sign_of_the_degree():
+    f = parse_map("(4-z^2)/(1+0.6*z)")
+    rep = dichotomy_verdict(f, n_max=3)
+    assert rep.verdict == "CIRCLE_CASE_I"
+    assert rep.swap_components is True
+    rep = dichotomy_verdict(conjugate(f, _seeded_conjugators(2)[1]), n_max=3)
+    assert rep.verdict == "CIRCLE_CASE_I"
+    assert rep.swap_components is True
+    assert dichotomy_verdict(parse_map(EX1_BLASCHKE), n_max=3).swap_components is False
+
+
+def test_circle_case_failure_is_inconclusive(monkeypatch):
+    def broken(circle):
+        raise DegeneratePoints("could not pick three separated circle points")
+
+    monkeypatch.setattr(classifier, "normalize_to_real_line", broken)
+    rep = dichotomy_verdict(parse_map("z^2-2"), n_max=2)
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.exit_code == 3
+    assert rep.inconclusive_reason == "circle case: could not pick three separated circle points"
+    assert rep.real_multiplier["passed"]
+    assert rep.real_multiplier["table"]
+
+
+def test_degree_cap_in_circle_case_is_not_inconclusive(monkeypatch):
+    def capped(circle):
+        raise DegreeCapExceeded("composition degree exceeds cap")
+
+    monkeypatch.setattr(classifier, "normalize_to_real_line", capped)
+    with pytest.raises(DegreeCapExceeded):
+        dichotomy_verdict(parse_map("z^2-2"), n_max=2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circledyn.cli import main
+from circledyn.realjulia import random_valid_spec
 
 
 def run_cli(args, capsys):
@@ -204,3 +205,18 @@ def test_period_solve_shortfall_is_inconclusive(args, period, capsys):
         f"real-multiplier test: period-{period} solve found "
     )
     assert "verdict: INCONCLUSIVE" in err
+
+
+def test_near_line_constructed_polynomial_classifies(tmp_path, capsys):
+    # the fitted circle is the real line up to fit noise (A ~ 1e-12)
+    spec = random_valid_spec(np.random.default_rng(3), 5)
+    poly = tmp_path / "poly.json"
+    values = ",".join(repr(v) for v in spec.values)
+    code, _, _ = run_cli(["construct", f"--values={values}", "--out", str(poly)], capsys)
+    assert code == 0
+    coeffs = tmp_path / "coeffs.json"
+    num = [[c, 0.0] for c in json.loads(poly.read_text())["coeffs"]]
+    coeffs.write_text(json.dumps({"num": num, "den": [[1.0, 0.0]]}))
+    code, out, _ = run_cli(["classify", "--coeffs", str(coeffs), "--nmax", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "CIRCLE_CASE_III"
