@@ -12,7 +12,7 @@ near the roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,14 +25,13 @@ from .algebra import (
     chart_split,
     chordal_distance,
     chordal_distances,
+    _substitute,
     cluster_roots,
     deriv_coeffs,
-    finite_poles,
     memoized,
     pad_coeffs,
     polyval,
     series_quotient,
-    sorted_roots,
     sphere_array,
 )
 from .errors import (
@@ -44,7 +43,9 @@ from .errors import (
 
 NEUTRAL_BAND = 1e-6
 PERIOD_DEGREE_CAP = 4097
-DUPLICATE_CLUSTER = 1e-9
+DUPLICATE_CLUSTER = 1e-6  # copies of a multiple root, which Aberth finds to ~sqrt(eps)
+ROOT_OF_UNITY_TOL = 1e-6  # |lambda^r - 1| of a parabolic cycle
+FLOWER_COEFF_TOL = 1e-8  # a nonzero coefficient of f^{qr}(w) - w
 BURN_IN = 50
 DEDUP_PITCH = 1e-4
 ABERTH_TOL = 1e-13
@@ -171,13 +172,6 @@ class PeriodicOrbit:
         return "neutral"
 
 
-@dataclass
-class _PeriodSolutions:
-    finite: np.ndarray
-    finite_mult: list
-    inf_mult: int
-
-
 def _series_compose(a, b, order):
     """Composition a(b(w)) for truncated series with zero constant terms."""
     out = np.zeros(order + 1, dtype=complex)
@@ -189,44 +183,71 @@ def _series_compose(a, b, order):
     return out
 
 
-def _local_series_at_zero(g: RationalMap, order: int):
-    """Taylor series of g at 0 up to the given order (g(0) must be 0)."""
-    n = pad_coeffs(g.num.coeffs, order + 1)[: order + 1]
-    m = pad_coeffs(g.den.coeffs, order + 1)[: order + 1]
-    if m[0] == 0:
-        raise PreimageSolveFailed("pole at the origin in local series")
-    return series_quotient(n, m, order)
+def _orbit(f: RationalMap, points) -> PeriodicOrbit:
+    lam = cycle_multiplier(f, points)
+    return PeriodicOrbit(
+        points=list(points),
+        exact_period=len(points),
+        multiplier=lam,
+        stability=PeriodicOrbit.stability_of(lam),
+    )
 
 
-def _infinity_fixed_multiplicity(f: RationalMap, n: int) -> int:
-    """Projective multiplicity of infinity as a solution of f^n(z) = z."""
-    orbit = [INF]
-    for _ in range(n):
-        orbit.append(f(orbit[-1]))
-    if not orbit[n].infinite:
-        if chordal_distance(orbit[n], INF) > 1e-10:
-            return 0
-    # period of infinity along the orbit
-    q = next(k for k in range(1, n + 1) if orbit[k].infinite or
-             chordal_distance(orbit[k], INF) <= 1e-10)
-    lam = cycle_multiplier(f, orbit[:q])
-    power = lam ** (n // q)
-    if abs(power - 1.0) > 1e-8:
-        return 1
-    # parabolic: order of vanishing of (chart of f^n)(w) - w at 0
-    order = 12
-    g = f.reciprocal_chart()
-    s = _local_series_at_zero(g, order)
-    s[0] = 0.0
-    acc = s.copy()
-    for _ in range(n - 1):
+def _multiplicity(f: RationalMap, orbit: PeriodicOrbit, n: int) -> int:
+    """Multiplicity of each point of the orbit as a solution of f^n(z) = z.
+
+    It is 1 unless the multiplier is a root of unity of some order r with
+    q r | n (q the orbit's length); then it is the order of f^{qr}(w) - w at
+    the point in a local chart, the same for every such n (the Leau-Fatou
+    flower: Milnor, Dynamics in One Complex Variable, section 10)."""
+    reps = n // orbit.exact_period
+    lam = orbit.multiplier
+    for r in range(1, reps + 1):
+        if reps % r == 0 and abs(lam**r - 1.0) <= ROOT_OF_UNITY_TOL:
+            return _flower_order(f, orbit.points, r)
+    return 1
+
+
+def _flower_order(f: RationalMap, points, r: int) -> int:
+    """Order of f^{qr}(w) - w at the first point of a q-cycle, composed from
+    the series of f between the charts z = p + w (z = 1/w at infinity) of
+    consecutive points.  The order is at most (2d - 2) r + 1: every cycle of
+    petals attracts a critical point."""
+    order = (2 * f.degree - 2) * r + 1
+    steps = []
+    for p, image in zip(points, points[1:] + points[:1]):
+        chart = ((1.0,), (0.0, 1.0)) if p.infinite else ((p.value, 1.0), (1.0,))
+        num, den = _substitute(f, *chart)
+        if image.infinite:
+            num, den = den, num
+        else:
+            num = num - image.value * den
+        s = series_quotient(pad_coeffs(num, order + 1), pad_coeffs(den, order + 1), order)
+        s[0] = 0.0
+        steps.append(s)
+    acc = np.zeros(order + 1, dtype=complex)
+    acc[1] = 1.0
+    for s in steps * r:
         acc = _series_compose(s, acc, order)
-    acc[1] -= 1.0
-    nz = np.nonzero(np.abs(acc) > 1e-9 * max(1.0, float(np.max(np.abs(acc)))))[0]
-    return int(nz[0]) if nz.size else order
+    # the coefficients below 2 vanish: the point is fixed by f^{qr}, with
+    # multiplier 1
+    big = np.flatnonzero(np.abs(acc[2:]) > FLOWER_COEFF_TOL)
+    return int(big[0]) + 2 if big.size else order
 
 
-def _fixed_point_solutions(f: RationalMap) -> _PeriodSolutions:
+def _infinity_orbit(f: RationalMap, n: int):
+    """The orbit of infinity when infinity has exact period n, else None."""
+    points = [INF]
+    for _ in range(n):
+        image = f(points[-1])
+        if chordal_distance(image, INF) <= 1e-10:
+            return _orbit(f, points) if len(points) == n else None
+        points.append(image)
+    return None
+
+
+def _fixed_point_solutions(f: RationalMap) -> np.ndarray:
+    """The finite fixed points of f, without multiplicity."""
     from .roots import all_roots
 
     ln = max(len(f.num.coeffs), len(f.den.coeffs) + 1)
@@ -235,13 +256,9 @@ def _fixed_point_solutions(f: RationalMap) -> _PeriodSolutions:
     p = Poly(c)
     if p.is_zero:
         raise RootFindingFailed("identity map has no isolated fixed points")
-    inf_mult = _infinity_fixed_multiplicity(f, 1)
-    if p.degree >= 1:
-        rs = all_roots(p, 1e-13)
-        finite, mult = rs.roots, rs.multiplicities
-    else:
-        finite, mult = np.zeros(0, dtype=complex), []
-    return _PeriodSolutions(finite, mult, inf_mult)
+    if p.degree < 1:
+        return np.zeros(0, dtype=complex)
+    return all_roots(p, 1e-13).roots
 
 
 def _orbit_data(f: RationalMap, z: np.ndarray, n: int):
@@ -266,18 +283,14 @@ def _orbit_data(f: RationalMap, z: np.ndarray, n: int):
     return F, lam, dlog
 
 
-def _log_derivative(f, z: np.ndarray, n: int) -> np.ndarray:
-    """P'/P at z for the period-n polynomial P, from the orbit data."""
+def _newton_correction(f, z: np.ndarray, n: int) -> np.ndarray:
+    """P/P' at z for the period-n polynomial P, from the orbit data: 0 at an
+    exact root, and nan where P'/P overflows (a stray far off the Julia set,
+    which has not converged)."""
     F, lam, dlog = _orbit_data(f, z, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return (lam - 1.0) / F + dlog
-
-
-def _step_quality(f, z: np.ndarray, n: int) -> np.ndarray:
-    """|F| / max(|(f^n)' - 1|, 1e-6): the Newton step length at z."""
-    F, lam, _ = _orbit_data(f, z, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
+        ratio = (lam - 1.0) / F + dlog
+        return np.where(F == 0, 0.0, np.where(np.isfinite(ratio), 1.0 / ratio, np.nan))
 
 
 def _reciprocal_sums(z, known, weights=1.0, buf=None, skip_diagonal=False):
@@ -306,16 +319,21 @@ def _block_buffer(height: int, width: int) -> np.ndarray:
     return np.empty((rows, width), dtype=complex)
 
 
-def _aberth_functional(f, n, m, z0):
-    """Simultaneous iteration on the period-n equation via functional values."""
+def _aberth_functional(f, n, z0, known=(), weights=()):
+    """Simultaneous iteration on the period-n equation via functional values,
+    for the roots other than `known` (finite roots of the period-n
+    polynomial, held fixed with their multiplicities `weights`)."""
     z = z0.astype(complex).copy()
+    known = np.asarray(known, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
     center = np.median(z.real) + 1j * np.median(z.imag)
     buf = _block_buffer(len(z), len(z))
+    known_buf = _block_buffer(len(z), len(known))
     for _ in range(ABERTH_MAXITER):
-        ratio = _log_derivative(f, z, n)
+        invr = _newton_correction(f, z, n)
         s = _reciprocal_sums(z, z, buf=buf, skip_diagonal=True)
+        s += _reciprocal_sums(z, known, weights, buf=known_buf)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            invr = 1.0 / ratio
             denom = 1.0 - invr * s
             step = np.where(np.abs(denom) > 1e-300, invr / denom, invr)
         bad = ~np.isfinite(step)
@@ -332,21 +350,40 @@ def _aberth_functional(f, n, m, z0):
     return z
 
 
-def _period_solutions(f: RationalMap, n: int) -> _PeriodSolutions:
-    """The period-n solution set of f, solved once per map."""
+def _period_solutions(f: RationalMap, n: int) -> list:
+    """The orbits of exact period n of f, solved once per map."""
     return memoized(f, f"period-{n}", lambda: _solve_period(f, n))
 
 
-def _solve_period(f: RationalMap, n: int) -> _PeriodSolutions:
+def _solve_period(f: RationalMap, n: int) -> list:
+    """The orbits of exact period n.
+
+    The solutions of f^n(z) = z whose period properly divides n are known
+    from the smaller solves; they enter the Aberth sum as fixed roots with
+    their multiplicities, so only the new points are solved for, and the
+    count d^n + 1 is met by construction or the solve fails."""
     d = f.degree
-    if d**n + 1 > PERIOD_DEGREE_CAP:
+    expected = d**n + 1
+    if expected > PERIOD_DEGREE_CAP:
         raise DegreeCapExceeded(
-            f"period {n} needs degree {d ** n + 1} > cap {PERIOD_DEGREE_CAP}"
+            f"period {n} needs degree {expected} > cap {PERIOD_DEGREE_CAP}"
         )
+    lower = [o for k in range(1, n) if n % k == 0 for o in _period_solutions(f, k)]
+    pool = sphere_array([p for o in lower for p in o.points])
+    weights = np.repeat(
+        [float(_multiplicity(f, o, n)) for o in lower], [o.exact_period for o in lower]
+    )
+    known_total = int(np.sum(weights))
+    new_inf = _infinity_orbit(f, n)
+    tail = np.array([complex(math.inf, 0.0)] if new_inf else [], dtype=complex)
     if n == 1:
-        return _fixed_point_solutions(f)
-    inf_mult = _infinity_fixed_multiplicity(f, n)
-    m = d**n + 1 - inf_mult
+        new = np.concatenate([_fixed_point_solutions(f), tail])
+        return _close_orbits(f, n, new, pool, known_total)
+    m = expected - known_total - (_multiplicity(f, new_inf, n) if new_inf else 0)
+    if m <= 0:
+        return _close_orbits(f, n, tail, pool, known_total)
+    finite = np.isfinite(pool)
+    known, weights = pool[finite], weights[finite]
     try:
         seed_cloud = _sampler_points(f, max(4 * m, 256), seed=20210 + n)
     except PreimageSolveFailed:
@@ -354,147 +391,70 @@ def _solve_period(f: RationalMap, n: int) -> _PeriodSolutions:
         # while period 2 itself is being solved): seed from a ring
         seed_cloud = np.zeros(0, dtype=complex)
     z0 = _spread_initial(seed_cloud, m)
-    best = None
+    # A jittered restart, for an unlucky start that leaves a point short of
+    # convergence; no test, sweep or benchmark input needs one.
     for attempt in range(3):
-        z = _aberth_functional(f, n, m, z0)
-        quality = _step_quality(f, z, n)
-        ok = np.isfinite(quality) & (quality < 1e-7 * np.maximum(1.0, np.abs(z)))
-        centers, mult = cluster_roots(z[ok], DUPLICATE_CLUSTER)
-        centers, mult = _validate_multiplicities(f, n, centers, mult)
-        centers, mult = _forward_closure(f, n, centers, mult)
-        total = sum(mult)
-        if best is None or total > best[2]:
-            best = (centers, mult, total)
-        if total == m:
-            break
+        try:
+            z = _aberth_functional(f, n, z0, known, weights)
+            F, lam, _ = _orbit_data(f, z, n)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                quality = np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
+            ok = np.isfinite(quality) & (quality < 1e-7 * np.maximum(1.0, np.abs(z)))
+            if not np.all(ok):
+                raise RootFindingFailed(
+                    f"period-{n} solve found {expected - m + int(np.sum(ok))} "
+                    f"of {expected} expected solutions"
+                )
+            # only where (f^n)' = 1 can a root be multiple: merge its copies
+            near = np.abs(lam - 1.0) <= 1e-2
+            centers, _ = cluster_roots(z[near], DUPLICATE_CLUSTER)
+            new = np.concatenate([z[~near], centers, tail])
+            return _close_orbits(f, n, new, pool, known_total)
+        except RootFindingFailed as exc:
+            failure = exc
         rng = np.random.default_rng(777 + attempt)
         z0 = z0 * (1.0 + 0.02 * (rng.random(len(z0)) - 0.5)) + 0.01 * (
             rng.random(len(z0)) - 0.5
         )
-    centers, mult, total = best
-    if total < m:
-        centers, mult, total = _newton_topup(f, n, m, centers, mult)
-        if total < m:
-            centers, mult = _forward_closure(f, n, centers, mult)
-            total = sum(mult)
-    if total != m:
-        raise RootFindingFailed(
-            f"period-{n} solve found {total} of {m} expected solutions"
-        )
-    return _PeriodSolutions(centers, list(mult), inf_mult)
+    raise failure
 
 
-def _validate_multiplicities(f, n, centers, mult):
-    """A genuine multiple solution of f^n(z) = z has derivative 1 there;
-    clusters that fail this are duplicated iterates, not multiple roots."""
-    if not centers.size or all(k == 1 for k in mult):
-        return centers, mult
-    _F, lam, _ = _orbit_data(f, centers, n)
-    out = list(mult)
-    for i, k in enumerate(mult):
-        if k > 1 and abs(lam[i] - 1.0) > 1e-2:
-            out[i] = 1
-    return centers, out
+def _close_orbits(f, n, new, pool, known_total):
+    """Group the new period-n solutions into orbits and check the count.
 
-
-def _forward_closure(f, n, centers, mult):
-    """The period-n solution set is f-invariant: add polished images of
-    known solutions that are missing from the set."""
-    centers = [complex(c) for c in centers]
-    mult = list(mult)
-    for _round in range(2 * n + 2):
-        added = False
-        arr = np.asarray(centers, dtype=complex)
-        for r in list(arr):
-            img = f(SpherePoint.of(r))
-            if img.infinite:
-                continue
-            w = img.value
-            cur = np.asarray(centers, dtype=complex)
-            if cur.size and np.min(np.abs(cur - w)) <= DUPLICATE_CLUSTER * max(
-                1.0, abs(w)
-            ):
-                continue
-            # Newton deflated by the known roots: targets the missing factor
-            wz = np.array([w], dtype=complex)
-            known_mult = np.asarray(mult, dtype=float)
-            for _ in range(30):
-                ratio = _log_derivative(f, wz, n)
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    ratio = ratio - _reciprocal_sums(wz, cur, known_mult)
-                    step = 1.0 / ratio
-                if not np.all(np.isfinite(step)):
-                    break
-                wz = wz - step
-                if abs(step[0]) <= 1e-14 * (1.0 + abs(wz[0])):
-                    break
-            quality = float(_step_quality(f, wz, n)[0])
-            drift = abs(wz[0] - w)
-            dist_known = (
-                float(np.min(np.abs(cur - wz[0]))) if cur.size else math.inf
+    Each new point's successor is the solution (new or known) chordally
+    nearest its image; the successors must permute the new points, in
+    cycles of length n.  With the multiplicities of the new orbits, all
+    solutions must add up to d^n + 1."""
+    pts = np.concatenate([new, pool])
+    succ = np.array(
+        [int(np.argmin(chordal_distances(f(SpherePoint.of(z)), pts))) for z in new],
+        dtype=int,
+    )
+    if np.any(succ >= len(new)) or len(np.unique(succ)) != len(new):
+        raise RootFindingFailed(f"period-{n} solutions are not permuted by the map")
+    points = [SpherePoint.of(z) for z in new]
+    orbits = []
+    seen = np.zeros(len(new), dtype=bool)
+    for s in sorted(range(len(new)), key=lambda k: points[k].sort_key()):
+        if seen[s]:
+            continue
+        cycle = [s]
+        while succ[cycle[-1]] != s:
+            cycle.append(int(succ[cycle[-1]]))
+        seen[cycle] = True
+        if len(cycle) != n:
+            raise RootFindingFailed(
+                f"period-{n} solution {points[s]} has period {len(cycle)}"
             )
-            # accept a polished image that is a fresh root: it stayed nearer
-            # its seed than any known solution (no drift onto an old root)
-            if (
-                math.isfinite(quality)
-                and quality < 1e-8 * max(1.0, abs(wz[0]))
-                and dist_known > DUPLICATE_CLUSTER * max(1.0, abs(wz[0]))
-                and (drift < 0.5 * dist_known or drift <= 1e-3 * (1.0 + abs(w)))
-            ):
-                centers.append(complex(wz[0]))
-                mult.append(1)
-                added = True
-        if not added:
-            break
-    return sorted_roots(centers, mult)
-
-
-def _newton_topup(f, n, m, centers, mult):
-    """Recover stragglers with seeded Newton multistart on F = f^n - id."""
-    total = sum(mult)
-    rng = np.random.default_rng(90210 + n)
-    centers = list(centers)
-    mult = list(mult)
-    for _ in range(12):
-        if total >= m:
-            break
-        starts = _sampler_points(f, 8 * (m - total) + 32, seed=int(rng.integers(1 << 30)))
-        z = starts.astype(complex)
-        z = z[np.isfinite(z)]
-        known = np.asarray(centers, dtype=complex)
-        known_mult = np.asarray(mult, dtype=float)
-        # hidden roots cluster near known ones and near poles (perturbation
-        # bubbles): ring starts with complex offsets reach them
-        anchors = [*known, *finite_poles(f)]
-        rings = []
-        for r in anchors:
-            s = max(1.0, abs(r))
-            for rad in (3e-2, 3e-3, 3e-4):
-                for k in range(8):
-                    rings.append(r + rad * s * np.exp(2j * np.pi * (k + 0.5) / 8))
-        z = np.concatenate([z, np.asarray(rings, dtype=complex)])
-        for _ in range(60):
-            ratio = _log_derivative(f, z, n)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                if known.size:
-                    ratio = ratio - _reciprocal_sums(z, known, known_mult)
-                step = 1.0 / ratio
-            step = np.where(np.isfinite(step), step, 0.0)
-            z = z - step
-        quality = _step_quality(f, z, n)
-        good = z[np.isfinite(quality) & (quality < 1e-9 * np.maximum(1.0, np.abs(z)))]
-        for r in good:
-            if total >= m:
-                break
-            known = np.asarray(centers, dtype=complex)
-            if known.size and np.min(np.abs(known - r)) <= DUPLICATE_CLUSTER * max(
-                1.0, abs(r)
-            ):
-                continue
-            centers.append(r)
-            mult.append(1)
-            total += 1
-    return (*sorted_roots(centers, mult), total)
+        orbits.append(_orbit(f, [points[k] for k in cycle]))
+    found = known_total + sum(n * _multiplicity(f, o, n) for o in orbits)
+    expected = f.degree**n + 1
+    if found != expected:
+        raise RootFindingFailed(
+            f"period-{n} solve found {found} of {expected} expected solutions"
+        )
+    return orbits
 
 
 def _spread_initial(cloud: np.ndarray, m: int) -> np.ndarray:
@@ -517,71 +477,22 @@ def _spread_initial(cloud: np.ndarray, m: int) -> np.ndarray:
 
 
 def periodic_points(f: RationalMap, n: int):
-    """All orbits of exact period n, with multipliers and stability classes.
-
-    The full period-n solution set is grouped into cycles by following the
-    dynamics; cycles of length properly dividing n are the lower-period
-    solutions and drop out, leaving each exact-period-n orbit once."""
+    """All orbits of exact period n, with multipliers and stability classes."""
     if f.degree < 2:
         raise ValueError("periodic points require degree >= 2")
     if n < 1:
         raise ValueError("period must be >= 1")
-    sol = _period_solutions(f, n)
-
-    pts = [SpherePoint.of(r) for r in sol.finite]
-    if sol.inf_mult > 0:
-        pts.append(INF)
-    zs = sphere_array(pts)
-
-    orbits = []
-    remaining = np.ones(len(pts), dtype=bool)
-    by_key = sorted(range(len(pts)), key=lambda k: pts[k].sort_key())
-    for s in by_key:
-        if not remaining[s]:
-            continue
-        start = pts[s]
-        cycle = [start]
-        remaining[s] = False
-        current = start
-        closed = False
-        for _ in range(n):
-            nxt = f(current)
-            dists = chordal_distances(nxt, zs)
-            d_back = dists[s]
-            dists[~remaining] = math.inf
-            j = int(np.argmin(dists))
-            dist = dists[j]
-            if d_back <= 1e-6 and d_back <= dist:
-                closed = True
-                break
-            if dist > 1e-4:
-                raise RootFindingFailed(
-                    f"period-{n} cycle at {start} lost its successor"
-                )
-            cycle.append(pts[j])
-            remaining[j] = False
-            current = pts[j]
-        if not closed:
-            raise RootFindingFailed(f"period-{n} cycle at {start} failed to close")
-        if len(cycle) != n:
-            continue  # exact period properly divides n
-        lam = cycle_multiplier(f, cycle)
-        orbits.append(
-            PeriodicOrbit(
-                points=cycle,
-                exact_period=n,
-                multiplier=lam,
-                stability=PeriodicOrbit.stability_of(lam),
-            )
-        )
-    orbits.sort(key=lambda o: o.points[0].sort_key())
-    return orbits
+    return [replace(o, points=list(o.points)) for o in _period_solutions(f, n)]
 
 
 def projective_solution_count(f: RationalMap, n: int) -> int:
     """Number of period-n solutions with multiplicity, infinity included."""
-    sol = _period_solutions(f, n)
-    return int(sum(sol.finite_mult)) + sol.inf_mult
+    return sum(
+        k * _multiplicity(f, o, n)
+        for k in range(1, n + 1)
+        if n % k == 0
+        for o in _period_solutions(f, k)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,9 @@ def _radius_estimate(coeffs: np.ndarray) -> float:
     mags = np.abs(coeffs)
     r = root_test
     for _ in range(200):
-        mass = float(np.sum(mags * r ** np.arange(1, m + 1)))
+        # a mass that overflows (inf, or nan from 0 * inf) is too large
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass = float(np.sum(mags * r ** np.arange(1, m + 1)))
         if mass <= WELL_CONDITIONED_MASS:
             break
         r *= 0.85

@@ -346,13 +346,9 @@ def test_verdicts_survive_seeded_conjugation():
             assert rep.verdict == want, (text, k, rep.inconclusive_reason)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="period engine: the period-6 solve of this conjugate finds 67 of 65 solutions",
-)
-def test_squaring_conjugate_at_default_nmax():
-    m = _seeded_conjugators(3)[2]
+@pytest.mark.parametrize("draw", [2, 29, 32])
+def test_squaring_conjugate_at_default_nmax(draw):
+    m = _seeded_conjugators(draw + 1)[draw]
     rep = dichotomy_verdict(conjugate(parse_map("z^2"), m))
     assert rep.verdict == "CIRCLE_CASE_I", rep.inconclusive_reason
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from circledyn import dynamics
 from circledyn.cli import main
 from circledyn.realjulia import random_valid_spec
 
@@ -188,21 +189,36 @@ def test_maps_without_repelling_fixed_points_do_not_recurse(capsys):
 
 
 @pytest.mark.parametrize(
-    "args, period",
+    "args, verdict, exit_code",
     [
-        (["--map", "z^2+z"], 4),
-        (["--map", "z^2-0.75"], 2),
-        (["--map", "1/z^2"], 2),
-        (["--example", "EX2", "--c", "0.9"], 5),
+        # parabolic fixed points: multiplier 1, and multiplier -1 (a triple
+        # root of the period-2 equation)
+        (["--map", "z^2+z"], "NO_REAL_STRUCTURE", 4),
+        (["--map", "z^2-0.75"], "NO_REAL_STRUCTURE", 4),
+        # the period-2 cycle {0, inf} passes through the pole
+        (["--map", "1/z^2"], "CIRCLE_CASE_I", 0),
+        # parabolic infinity, and EX3's period-5 roots 5e-10 apart
+        (["--example", "EX2", "--c", "0.9"], "CIRCLE_CASE_III", 0),
+        (["--example", "EX3", "--p", "0.2", "--a", "0.5", "--eps", "0.001"], "CIRCLE_CASE_III", 0),
+        (["--map", "z^2-2", "--nmax", "8"], "CIRCLE_CASE_II", 0),
     ],
 )
-def test_period_solve_shortfall_is_inconclusive(args, period, capsys):
-    code, out, err = run_cli(["classify", *args], capsys)
+def test_period_engine_inputs_end_in_a_verdict(args, verdict, exit_code, capsys):
+    code, out, _ = run_cli(["classify", *args], capsys)
+    data = json.loads(out)
+    assert data["verdict"] == verdict, data.get("inconclusive_reason")
+    assert code == exit_code
+
+
+def test_period_solve_shortfall_is_inconclusive(monkeypatch, capsys):
+    # an Aberth iteration that never moves its start points
+    monkeypatch.setattr(dynamics, "_aberth_functional", lambda f, n, z0, *known: z0)
+    code, out, err = run_cli(["classify", "--map", "z^2-2"], capsys)
     assert code == 3
     data = json.loads(out)
     assert data["verdict"] == "INCONCLUSIVE"
     assert data["inconclusive_reason"].startswith(
-        f"real-multiplier test: period-{period} solve found "
+        "real-multiplier test: period-2 solve found "
     )
     assert "verdict: INCONCLUSIVE" in err
 

@@ -8,6 +8,7 @@ import pytest
 
 from circledyn import Moebius, conjugate, parse_map
 from circledyn import dynamics
+from circledyn.algebra import INF, RationalMap, SpherePoint, chordal_distance
 from circledyn.classifier import dichotomy_verdict
 from circledyn.dynamics import (
     _aberth_functional,
@@ -64,6 +65,53 @@ def test_quadratic_plus_one_fixed_points():
     mults = sorted(o.multiplier.imag for o in finite)
     assert mults[0] == pytest.approx(-math.sqrt(3), abs=1e-10)
     assert mults[1] == pytest.approx(math.sqrt(3), abs=1e-10)
+
+
+EX2_MAP = "((z-2)*(z+0.9)*(z-0.9))/((z-1)*(z+1))"
+
+
+@pytest.mark.parametrize(
+    "expr, point, n, mult",
+    [
+        # multiplier -1: the period-2 cycle collapses onto the fixed point
+        ("z^2-0.75", -0.5, 2, 3),
+        # multiplier 1, one petal
+        ("z^2+z", 0.0, 4, 2),
+        # EX2's infinity: multiplier 1, one petal, read in the chart 1/z
+        (EX2_MAP, "inf", 5, 2),
+    ],
+)
+def test_parabolic_fixed_point_multiplicity(expr, point, n, mult):
+    f = parse_map(expr)
+    target = INF if point == "inf" else SpherePoint.of(point)
+    (orbit,) = [o for o in periodic_points(f, 1) if chordal_distance(o.points[0], target) < 1e-9]
+    assert dynamics._multiplicity(f, orbit, n) == mult
+    assert projective_solution_count(f, n) == f.degree**n + 1
+
+
+def _mobius_mu(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def test_seeded_real_polynomials_meet_the_dynatomic_count():
+    # the number of cycles of exact period n is
+    # sum_{k | n} mu(n / k) (d^k + 1) / n (Morton-Silverman)
+    rng = np.random.default_rng(5)
+    maps = [RationalMap([c, 0.0, 1.0], [1.0]) for c in rng.uniform(-2.5, 1.0, 16)]
+    maps += [RationalMap([b, a, 0.0, 1.0], [1.0]) for a, b in rng.uniform(-2.0, 2.0, (16, 2))]
+    for f in maps:
+        d = f.degree
+        for n in range(1, 6):
+            want = sum(_mobius_mu(n // k) * (d**k + 1) for k in range(1, n + 1) if n % k == 0)
+            assert len(periodic_points(f, n)) * n == want, (f, n)
 
 
 def test_exact_period_filtering_counts():
@@ -232,21 +280,20 @@ def test_aberth_zero_step_emits_no_runtime_warning():
     z0 = np.array([0, 1 + 1j, -1 - 1j, 2 + 2j, -2 - 2j], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = _aberth_functional(parse_map("z^2"), 2, 5, z0)
+        z = _aberth_functional(parse_map("z^2"), 2, z0)
     assert np.all(np.isfinite(z))
 
 
 def test_dichotomy_verdict_solves_each_period_once(monkeypatch):
-    # every period-n solve reads the multiplicity of infinity once (Aberth
-    # itself may retry within one solve: z^3 - 3z takes two tries at n = 4)
+    # every solve reads the smaller periods' orbits, from the memo
     solves = Counter()
-    inf_mult = dynamics._infinity_fixed_multiplicity
+    solve = dynamics._solve_period
 
     def counted(f, n):
         solves[id(f), n] += 1
-        return inf_mult(f, n)
+        return solve(f, n)
 
-    monkeypatch.setattr(dynamics, "_infinity_fixed_multiplicity", counted)
+    monkeypatch.setattr(dynamics, "_solve_period", counted)
     f = parse_map("z^3-3*z")
     dichotomy_verdict(f)
     assert {n: solves[id(f), n] for n in range(1, 7)} == {n: 1 for n in range(1, 7)}
@@ -334,7 +381,7 @@ def test_aberth_memory_does_not_grow_with_the_square_of_the_degree(monkeypatch):
     z0 = 2.0 * np.exp(2j * np.pi * np.arange(m) / m)
     tracemalloc.start()
     try:
-        _aberth_functional(parse_map("z^2-1"), 11, m, z0)
+        _aberth_functional(parse_map("z^2-1"), 11, z0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -188,3 +188,10 @@ def test_poincare_at_infinity_base_point():
     assert s.chart_inverted
     assert abs(s.multiplier - 4.0) < 1e-9
     assert poincare_eval(s, lat, 0.0).infinite
+
+
+def test_radius_estimate_overflow_emits_no_runtime_warning():
+    # the root test gives r = 1e6 here, and r ** 128 overflows: that mass is
+    # too large, so the radius shrinks, without a warning
+    s = poincare_coeffs(parse_map("z^2-2"), 2, 128)
+    assert 0.0 < s.conv_radius_estimate < 1e6
