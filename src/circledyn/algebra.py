@@ -10,8 +10,9 @@ The sphere bookkeeping every later stage needs lives here, once:
 - the chart rule: a point is read in the chart w = 1/z when it is infinity
   or |z| > 1, and in the plane chart otherwise (`chart_split`, on arrays,
   with infinity read as w = 0); a map is read in a pair of charts through
-  `chart_coeffs`, and a single point is flipped by `invert_point`;
-- the chordal metric, as the scalar `chordal_distance` and the one-to-many
+  `chart_coeffs`, a single point is flipped by `invert_point`, and a map is
+  applied to an array of points by `image_array`;
+- the chordal metric, as the scalar `chordal_distance` and the broadcast
   array form `chordal_distances`, which round identically;
 - the coefficient kernels `pad_coeffs`, `deriv_coeffs`, `series_quotient`
   and the root clustering `cluster_roots`;
@@ -174,21 +175,18 @@ def invert_point(p) -> SpherePoint:
 
 
 def chordal_distances(p, zs) -> np.ndarray:
-    """Chordal distances from one sphere point to each of an array of them;
+    """Chordal distances between sphere points, elementwise under numpy
+    broadcasting: p is one sphere point or an array of them, zs an array;
     equal bit for bit to `chordal_distance` pair by pair."""
-    p = SpherePoint.of(p)
+    a = sphere_array([p]) if np.ndim(p) == 0 else np.asarray(p, dtype=complex)
     zs = np.asarray(zs, dtype=complex)
-    infinite = ~np.isfinite(zs)
+    a_inf, z_inf = ~np.isfinite(a), ~np.isfinite(zs)
     with np.errstate(invalid="ignore", over="ignore"):
+        lift_a = 1.0 + np.float_power(_modulus(a), 2)
         lift = 1.0 + np.float_power(_modulus(zs), 2)
-        if p.infinite:
-            out = 2.0 / np.sqrt(lift)
-            out[infinite] = 0.0
-            return out
-        a = p.value
-        lift_a = 1.0 + abs(a) ** 2
         out = 2.0 * _modulus(a - zs) / np.sqrt(lift_a * lift)
-    out[infinite] = 2.0 / math.sqrt(lift_a)
+    out = np.where(z_inf, 2.0 / np.sqrt(lift_a), out)
+    out = np.where(a_inf, np.where(z_inf, 0.0, 2.0 / np.sqrt(lift)), out)
     return out
 
 
@@ -511,6 +509,20 @@ def chart_coeffs(f: RationalMap, in_inverted: bool, out_inverted: bool):
     if in_inverted:
         n, m = n[::-1].copy(), m[::-1].copy()
     return (m, n) if out_inverted else (n, m)
+
+
+def image_array(f: RationalMap, z) -> np.ndarray:
+    """f on a sphere array, each point read in its own chart (`chart_split`):
+    the images as a sphere array, infinity at the poles."""
+    inverted, u = chart_split(z)
+    out = np.empty(len(u), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for flag in (False, True):
+            num, den = chart_coeffs(f, flag, False)
+            sel = inverted == flag
+            out[sel] = polyval(num, u[sel]) / polyval(den, u[sel])
+    out[~np.isfinite(out)] = math.inf
+    return out
 
 
 def _eval_finite(num: Poly, den: Poly, z: complex) -> SpherePoint:

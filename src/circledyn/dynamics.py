@@ -28,6 +28,7 @@ from .algebra import (
     _substitute,
     cluster_roots,
     deriv_coeffs,
+    image_array,
     memoized,
     pad_coeffs,
     polyval,
@@ -62,8 +63,8 @@ def _chart_slopes(f: RationalMap) -> "_ChartSlopes":
 
 
 class _ChartSlopes:
-    """Derivatives of f read from the chart of a point to the chart of its
-    image, with the chart rule of `chart_split`."""
+    """Derivatives of f read from the chart of each point to the chart of
+    its image, with the chart rule of `chart_split`, on arrays."""
 
     def __init__(self, f: RationalMap):
         self.pairs = {}
@@ -71,26 +72,27 @@ class _ChartSlopes:
             pn, pd = chart_coeffs(f, *key)
             self.pairs[key] = (pn, pd, deriv_coeffs(pn), deriv_coeffs(pd))
 
-    def __call__(self, z_inverted, w_inverted, u) -> complex:
-        pn, pd, dpn, dpd = self.pairs[(bool(z_inverted), bool(w_inverted))]
-        nv = polyval(pn, u)
-        dv = polyval(pd, u)
-        npv = polyval(dpn, u)
-        dpv = polyval(dpd, u)
-        if dv == 0:
-            return complex(math.inf, 0.0)
-        return (npv * dv - nv * dpv) / (dv * dv)
+    def __call__(self, z_inverted, w_inverted, u) -> np.ndarray:
+        out = np.empty(len(u), dtype=complex)
+        for (zi, wi), (pn, pd, dpn, dpd) in self.pairs.items():
+            sel = (z_inverted == zi) & (w_inverted == wi)
+            x = u[sel]
+            nv, dv = polyval(pn, x), polyval(pd, x)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                slope = (polyval(dpn, x) * dv - nv * polyval(dpd, x)) / (dv * dv)
+            out[sel] = np.where(dv == 0, math.inf, slope)
+        return out
 
 
 def cycle_multiplier(f: RationalMap, points) -> complex:
     """Chain-rule multiplier along a cycle, chart-corrected at infinity/poles."""
-    slope = _chart_slopes(f)
     inverted, u = chart_split(sphere_array(points))
-    lam = 1.0 + 0.0j
-    n = len(u)
-    for k in range(n):
-        lam *= slope(inverted[k], inverted[(k + 1) % n], u[k])
-    return lam
+    return _product(_chart_slopes(f)(inverted, np.roll(inverted, -1), u))
+
+
+def _product(slopes: np.ndarray) -> complex:
+    """The product in order, as the scalar chain rule multiplies."""
+    return math.prod(slopes.tolist(), start=1.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +185,7 @@ def _series_compose(a, b, order):
     return out
 
 
-def _orbit(f: RationalMap, points) -> PeriodicOrbit:
-    lam = cycle_multiplier(f, points)
+def _orbit(points, lam: complex) -> PeriodicOrbit:
     return PeriodicOrbit(
         points=list(points),
         exact_period=len(points),
@@ -241,7 +242,7 @@ def _infinity_orbit(f: RationalMap, n: int):
     for _ in range(n):
         image = f(points[-1])
         if chordal_distance(image, INF) <= 1e-10:
-            return _orbit(f, points) if len(points) == n else None
+            return _orbit(points, cycle_multiplier(f, points)) if len(points) == n else None
         points.append(image)
     return None
 
@@ -293,11 +294,12 @@ def _newton_correction(f, z: np.ndarray, n: int) -> np.ndarray:
         return np.where(F == 0, 0.0, np.where(np.isfinite(ratio), 1.0 / ratio, np.nan))
 
 
-def _reciprocal_sums(z, known, weights=1.0, buf=None, skip_diagonal=False):
+def _reciprocal_sums(z, known, weights=1.0, buf=None, skip=None):
     """Sum_j weights_j / (z_i - known_j) for each z_i, in row blocks of about
     RECIPROCAL_BLOCK entries so memory stays O(len(z) + len(known)).  With
-    skip_diagonal, known is z and the j = i terms are left out (the Aberth
-    sum).  A caller that sums repeatedly passes `buf` from `_block_buffer`."""
+    `skip`, an index array as long as z, row i leaves out column skip[i] (the
+    Aberth sum, where z are the points known[skip]).  A caller that sums
+    repeatedly passes `buf` from `_block_buffer`."""
     if buf is None:
         buf = _block_buffer(len(z), len(known))
     out = np.empty(len(z), dtype=complex)
@@ -307,8 +309,8 @@ def _reciprocal_sums(z, known, weights=1.0, buf=None, skip_diagonal=False):
             i1 = min(i0 + rows, len(z))
             block = buf[: i1 - i0]
             np.subtract(z[i0:i1, None], known[None, :], out=block)
-            if skip_diagonal:
-                np.fill_diagonal(block[:, i0:i1], np.inf)
+            if skip is not None:
+                block[np.arange(i1 - i0), skip[i0:i1]] = np.inf
             np.divide(weights, block, out=block)
             np.sum(block, axis=1, out=out[i0:i1])
     return out
@@ -322,30 +324,37 @@ def _block_buffer(height: int, width: int) -> np.ndarray:
 def _aberth_functional(f, n, z0, known=(), weights=()):
     """Simultaneous iteration on the period-n equation via functional values,
     for the roots other than `known` (finite roots of the period-n
-    polynomial, held fixed with their multiplicities `weights`)."""
+    polynomial, held fixed with their multiplicities `weights`).
+
+    A point whose step meets the stopping rule is frozen: it stays in the
+    other points' sums but is no longer updated, so each iteration costs in
+    proportion to the points still moving; the loop ends when none is."""
     z = z0.astype(complex).copy()
     known = np.asarray(known, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     center = np.median(z.real) + 1j * np.median(z.imag)
     buf = _block_buffer(len(z), len(z))
     known_buf = _block_buffer(len(z), len(known))
+    active = np.arange(len(z))
     for _ in range(ABERTH_MAXITER):
-        invr = _newton_correction(f, z, n)
-        s = _reciprocal_sums(z, z, buf=buf, skip_diagonal=True)
-        s += _reciprocal_sums(z, known, weights, buf=known_buf)
+        za = z[active]
+        invr = _newton_correction(f, za, n)
+        s = _reciprocal_sums(za, z, buf=buf, skip=active)
+        s += _reciprocal_sums(za, known, weights, buf=known_buf)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             denom = 1.0 - invr * s
             step = np.where(np.abs(denom) > 1e-300, invr / denom, invr)
         bad = ~np.isfinite(step)
         if np.any(bad):
-            step = np.where(bad, 0.25 * (z - center), step)
+            step = np.where(bad, 0.25 * (za - center), step)
         # temper huge steps: keeps far strays from overshooting (a zero
         # step, as from a start at the centroid, must not divide by zero)
         mag = np.abs(step)
-        cap = 1.0 + np.abs(z)
+        cap = 1.0 + np.abs(za)
         step = np.where(mag > cap, step * (cap / np.maximum(mag, cap)), step)
-        z = z - step
-        if np.max(np.abs(step)) <= ABERTH_TOL * (1.0 + np.max(np.abs(z))):
+        z[active] = za - step
+        active = active[np.abs(step) > ABERTH_TOL * (1.0 + np.max(np.abs(z)))]
+        if active.size == 0:
             break
     return z
 
@@ -426,17 +435,17 @@ def _close_orbits(f, n, new, pool, known_total):
     nearest its image; the successors must permute the new points, in
     cycles of length n.  With the multiplicities of the new orbits, all
     solutions must add up to d^n + 1."""
-    pts = np.concatenate([new, pool])
-    succ = np.array(
-        [int(np.argmin(chordal_distances(f(SpherePoint.of(z)), pts))) for z in new],
-        dtype=int,
-    )
+    succ = _successors(f, new, np.concatenate([new, pool]))
     if np.any(succ >= len(new)) or len(np.unique(succ)) != len(new):
         raise RootFindingFailed(f"period-{n} solutions are not permuted by the map")
     points = [SpherePoint.of(z) for z in new]
+    inverted, u = chart_split(new)
+    slopes = _chart_slopes(f)(inverted, inverted[succ], u)
     orbits = []
     seen = np.zeros(len(new), dtype=bool)
-    for s in sorted(range(len(new)), key=lambda k: points[k].sort_key()):
+    # real parts equal to within rounding tie, so conjugate orbits are
+    # ordered by their imaginary parts
+    for s in np.lexsort((new.imag, np.round(new.real, 12))).tolist():
         if seen[s]:
             continue
         cycle = [s]
@@ -447,7 +456,7 @@ def _close_orbits(f, n, new, pool, known_total):
             raise RootFindingFailed(
                 f"period-{n} solution {points[s]} has period {len(cycle)}"
             )
-        orbits.append(_orbit(f, [points[k] for k in cycle]))
+        orbits.append(_orbit([points[k] for k in cycle], _product(slopes[cycle])))
     found = known_total + sum(n * _multiplicity(f, o, n) for o in orbits)
     expected = f.degree**n + 1
     if found != expected:
@@ -455,6 +464,20 @@ def _close_orbits(f, n, new, pool, known_total):
             f"period-{n} solve found {found} of {expected} expected solutions"
         )
     return orbits
+
+
+def _successors(f, z, pts) -> np.ndarray:
+    """For each of the sphere points z, the index of the point of pts
+    chordally nearest its image.  A row block holds a quarter of
+    RECIPROCAL_BLOCK distances, so that its temporaries (one complex
+    difference and a few real arrays) fit the kernel's 1 MiB."""
+    images = image_array(f, z)
+    succ = np.empty(len(z), dtype=int)
+    rows = max(1, RECIPROCAL_BLOCK // (4 * max(len(pts), 1)))
+    for i0 in range(0, len(z), rows):
+        dist = chordal_distances(images[i0 : i0 + rows, None], pts[None, :])
+        succ[i0 : i0 + rows] = np.argmin(dist, axis=1)
+    return succ
 
 
 def _spread_initial(cloud: np.ndarray, m: int) -> np.ndarray:
@@ -504,6 +527,7 @@ def real_multiplier_test(f: RationalMap, n_max: int, tol: float = 1e-8) -> dict:
     multiplier; reports the worst offender and the full multiplier table."""
     table = []
     worst = None
+    worst_score = -1.0
     passed = True
     for n in range(1, n_max + 1):
         for orbit in periodic_points(f, n):
@@ -519,7 +543,11 @@ def real_multiplier_test(f: RationalMap, n_max: int, tol: float = 1e-8) -> dict:
             if orbit.stability != "repelling":
                 continue
             imag_excess = abs(lam.imag) - tol * max(1.0, abs(lam))
-            if worst is None or abs(lam.imag) > worst["im_abs"]:
+            # rounded, so that rounding noise never decides: ties go to the
+            # earliest orbit in the table
+            score = round(abs(lam.imag) / max(1.0, abs(lam)), 12)
+            if score > worst_score:
+                worst_score = score
                 worst = {
                     "period": n,
                     "point": _point_json(orbit.points[0]),
@@ -609,12 +637,11 @@ class ErgodicEstimates:
 
 def _spherical_log_derivatives(f: RationalMap, points) -> np.ndarray:
     """log of the spherical-metric derivative norm of f at each point."""
-    slope = _chart_slopes(f)
     z_inv, u = chart_split(sphere_array(points))
     w_inv, v = chart_split(sphere_array(f(p) for p in points))
+    slopes = _chart_slopes(f)(z_inv, w_inv, u).tolist()
     out = np.empty(len(u))
-    for k, (uk, vk) in enumerate(zip(u.tolist(), v.tolist())):
-        dval = slope(z_inv[k], w_inv[k], uk)
+    for k, (uk, vk, dval) in enumerate(zip(u.tolist(), v.tolist(), slopes)):
         mag = abs(dval) * (1.0 + abs(uk) ** 2) / (1.0 + abs(vk) ** 2)
         if mag <= 0.0 or not math.isfinite(mag):
             raise DerivativeSingular(

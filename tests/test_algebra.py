@@ -21,6 +21,8 @@ from circledyn.algebra import (
     chart_split,
     chordal_distance,
     chordal_distances,
+    finite_poles,
+    image_array,
     invert_point,
     memoized,
     sphere_array,
@@ -258,6 +260,28 @@ def test_chordal_distances_equal_scalar_bit_for_bit(p):
     zs = sphere_array(others)
     scalar = np.array([chordal_distance(p, q) for q in others])
     assert np.array_equal(chordal_distances(p, zs), scalar)
+
+
+def test_chordal_distances_broadcast_equal_scalar_bit_for_bit():
+    zs = sphere_array(SPHERE_SAMPLES)
+    got = chordal_distances(zs[:, None], zs[None, :])
+    scalar = [[chordal_distance(p, q) for q in SPHERE_SAMPLES] for p in SPHERE_SAMPLES]
+    assert np.array_equal(got, np.array(scalar))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [parse_map("1/z^2"), parse_map("z^3-3*z"), lattes_doubling_map(), parse_map("(2*z^2+1)/(3*z^2+z)")],
+    ids=["1/z^2", "z^3-3z", "lattes", "(2z^2+1)/(3z^2+z)"],
+)
+def test_image_array_matches_the_map_at_infinity_poles_and_both_charts(f):
+    zs = np.concatenate([sphere_array(SPHERE_SAMPLES), finite_poles(f)])
+    got = image_array(f, zs)
+    for z, w in zip(zs, got):
+        want = f(SpherePoint.of(z))
+        assert np.isfinite(w) != want.infinite
+        if not want.infinite:
+            assert abs(w - want.value) <= 1e-13 * max(1.0, abs(want.value))
 
 
 @pytest.mark.parametrize(

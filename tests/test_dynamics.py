@@ -8,8 +8,15 @@ import pytest
 
 from circledyn import Moebius, conjugate, parse_map
 from circledyn import dynamics
-from circledyn.algebra import INF, RationalMap, SpherePoint, chordal_distance
-from circledyn.classifier import dichotomy_verdict
+from circledyn.algebra import (
+    INF,
+    RationalMap,
+    SpherePoint,
+    chordal_distance,
+    chordal_distances,
+    sphere_array,
+)
+from circledyn.classifier import dichotomy_verdict, lattes_doubling_map
 from circledyn.dynamics import (
     _aberth_functional,
     backward_sample,
@@ -358,7 +365,7 @@ def test_reciprocal_sums_equal_the_dense_sums_bit_for_bit(monkeypatch, extra):
     # the Aberth sum over the points themselves, 16 / rows per block
     monkeypatch.setattr(dynamics, "RECIPROCAL_BLOCK", 16 * rows)
     z[1] = z[rows - 1]  # two equal points
-    got = dynamics._reciprocal_sums(z, z, skip_diagonal=True)
+    got = dynamics._reciprocal_sums(z, z, skip=np.arange(rows))
     assert np.array_equal(_bits(got), _bits(_dense_aberth_sums(z)))
     assert not np.isfinite(got[1]) and not np.isfinite(got[rows - 1])
 
@@ -385,4 +392,122 @@ def test_aberth_memory_does_not_grow_with_the_square_of_the_degree(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("block", [20, 40, 400])
+def test_reciprocal_sums_over_active_rows_equal_the_dense_sums_bit_for_bit(monkeypatch, block):
+    # rows for a subset of the points, each leaving out its own column:
+    # 1, 2 and all 6 rows per block
+    monkeypatch.setattr(dynamics, "RECIPROCAL_BLOCK", block)
+    rng = np.random.default_rng(17)
+    z = rng.normal(size=20) + 1j * rng.normal(size=20)
+    active = np.array([0, 3, 4, 9, 17, 19])
+    z[9] = z[2]  # an active point equal to a frozen one: that row is not finite
+    got = dynamics._reciprocal_sums(z[active], z, skip=active)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = z[active][:, None] - z[None, :]
+        diff[np.arange(len(active)), active] = np.inf
+        want = np.sum(1.0 / diff, axis=1)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert not np.isfinite(got[3]) and np.all(np.isfinite(np.delete(got, 3)))
+
+
+def _full_aberth(f, n, z0, known, weights):
+    """The Aberth iteration without freezing: every point is updated until
+    all steps meet the stopping rule."""
+    z = z0.astype(complex).copy()
+    center = np.median(z.real) + 1j * np.median(z.imag)
+    every = np.arange(len(z))
+    for _ in range(dynamics.ABERTH_MAXITER):
+        invr = dynamics._newton_correction(f, z, n)
+        s = dynamics._reciprocal_sums(z, z, skip=every)
+        s += dynamics._reciprocal_sums(z, known, weights)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            denom = 1.0 - invr * s
+            step = np.where(np.abs(denom) > 1e-300, invr / denom, invr)
+        step = np.where(np.isfinite(step), step, 0.25 * (z - center))
+        mag = np.abs(step)
+        cap = 1.0 + np.abs(z)
+        step = np.where(mag > cap, step * (cap / np.maximum(mag, cap)), step)
+        z = z - step
+        if np.max(np.abs(step)) <= dynamics.ABERTH_TOL * (1.0 + np.max(np.abs(z))):
+            return z
+    raise AssertionError("the full iteration did not converge")
+
+
+def test_aberth_sums_only_the_points_still_moving(monkeypatch):
+    # every iteration of a full sum would send all m rows through the
+    # kernel, about 43 m for this solve
+    rows = []
+    solves = []
+    kernel, aberth = dynamics._reciprocal_sums, dynamics._aberth_functional
+
+    def counted(z, known, *args, **kwargs):
+        if kwargs.get("skip") is not None:
+            rows.append(len(z))
+        return kernel(z, known, *args, **kwargs)
+
+    def recorded(f, n, z0, known=(), weights=()):
+        z = aberth(f, n, z0, known, weights)
+        if n == 6:
+            solves.append((f, z0, known, weights, z))
+        return z
+
+    monkeypatch.setattr(dynamics, "_reciprocal_sums", counted)
+    monkeypatch.setattr(dynamics, "_aberth_functional", recorded)
+    f = parse_map("z^3-3*z")
+    for n in range(1, 6):
+        periodic_points(f, n)
+    rows.clear()
+    periodic_points(f, 6)
+    ((f, z0, known, weights, z),) = solves
+    m = len(z0)
+    assert rows[0] == m
+    assert sum(rows) < 12 * m
+    ref = _full_aberth(f, 6, z0, known, weights)
+    gap = np.abs(z[:, None] - ref[None, :])
+    nearest = np.argmin(gap, axis=1)
+    assert len(np.unique(nearest)) == m
+    assert np.all(gap[np.arange(m), nearest] <= 1e-12 * np.maximum(1.0, np.abs(z)))
+
+
+def _solutions(f, n):
+    """The period-n points of f, and those of the periods properly dividing n."""
+    new = sphere_array([p for o in periodic_points(f, n) for p in o.points])
+    lower = [p for k in range(1, n) if n % k == 0 for o in periodic_points(f, k) for p in o.points]
+    return new, np.concatenate([new, sphere_array(lower)])
+
+
+@pytest.mark.parametrize(
+    "f, n",
+    [
+        # the 2-cycle {0, infinity} through the pole 0
+        (parse_map("1/z^2"), 2),
+        # infinity parabolic, the poles +-1 among the images
+        (parse_map(EX2_MAP), 5),
+        (lattes_doubling_map(), 3),
+    ],
+    ids=["1/z^2", "EX2(0.9)", "lattes"],
+)
+def test_successors_follow_the_scalar_rule(f, n):
+    new, pts = _solutions(f, n)
+    assert len(new) > 0
+    scalar = [int(np.argmin(chordal_distances(f(SpherePoint.of(z)), pts))) for z in new]
+    assert dynamics._successors(f, new, pts).tolist() == scalar
+
+
+def test_orbit_closing_memory_does_not_grow_with_the_square_of_the_degree():
+    # the 2046 points of period 11 of z^2: an m x m distance matrix would
+    # allocate 8 m^2 bytes, ~33 MB
+    f = parse_map("z^2")
+    new = np.exp(2j * np.pi * np.arange(1, 2047) / 2047)
+    pool = np.array([0.0, 1.0, math.inf], dtype=complex)
+    tracemalloc.start()
+    try:
+        orbits = dynamics._close_orbits(f, 11, new, pool, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(orbits) == 186
     assert peak < 8 * 2**20
