@@ -11,6 +11,7 @@ near the roots.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -25,6 +26,7 @@ from .algebra import (
     chart_split,
     chordal_distance,
     chordal_distances,
+    _modulus,
     _substitute,
     cluster_roots,
     deriv_coeffs,
@@ -101,42 +103,62 @@ def _product(slopes: np.ndarray) -> complex:
 
 def preimage_points(f: RationalMap, z):
     """All d preimages of z (with multiplicity) as SpherePoints."""
-    d = f.degree
     z = SpherePoint.of(z)
-    if z.infinite:
-        c = f.den.coeffs.copy()
-        inf_mult = f.num.degree - f.den.degree
+    return [SpherePoint.of(w) for w in _preimage_values(f, None if z.infinite else z.value)]
+
+
+def _preimage_coeffs(f: RationalMap):
+    """Numerator and denominator coefficients, both of length deg f + 1."""
+    return memoized(f, "preimage-coeffs", lambda: chart_coeffs(f, False, False))
+
+
+def _preimage_values(f: RationalMap, z) -> list:
+    """All d preimages of z (a complex, or None for infinity) with
+    multiplicity: the finite ones sorted by (re, im), then None for each one
+    at infinity (a root that overflows included)."""
+    nc, dc = _preimage_coeffs(f)
+    d = len(nc) - 1
+    if z is None:
+        c = dc
+    elif abs(z) > 1e8:
+        # solve den(w) - (1/z) num(w) = 0: better conditioned for huge z
+        c = dc - (1.0 / z) * nc
     else:
-        zv = z.value
-        ln = max(len(f.num.coeffs), len(f.den.coeffs))
-        if abs(zv) > 1e8:
-            # solve den(w) - (1/z) num(w) = 0: better conditioned for huge z
-            c = pad_coeffs(f.den.coeffs, ln) - (1.0 / zv) * pad_coeffs(f.num.coeffs, ln)
-        else:
-            c = pad_coeffs(f.num.coeffs, ln) - zv * pad_coeffs(f.den.coeffs, ln)
-        inf_mult = None
-    scale = float(np.max(np.abs(c)))
+        c = nc - z * dc
+    size = np.abs(c).tolist()
+    scale = max(size)
     if scale == 0.0:
         raise PreimageSolveFailed("degenerate preimage polynomial")
-    keep = np.nonzero(np.abs(c) > 1e-13 * scale)[0]
-    c = c[: keep[-1] + 1]
-    deg = len(c) - 1
-    if inf_mult is None:
-        inf_mult = d - deg
-    out = []
-    if deg >= 1:
-        if deg == 1:
-            rts = np.array([-c[0] / c[1]])
-        elif deg == 2:
-            rts = _quadratic_roots(c[2], c[1], c[0])
-        else:
-            rts = np.roots(c[::-1])
-        order = np.lexsort((rts.imag, rts.real))
-        out.extend(SpherePoint.of(r) for r in rts[order])
-    out.extend([INF] * max(inf_mult, 0))
+    deg = d
+    while size[deg] <= 1e-13 * scale:
+        deg -= 1
+    if deg == 1:
+        roots = [complex(-c[0] / c[1])]
+    elif deg == 2:
+        roots = _quadratic_roots(c[2], c[1], c[0]).tolist()
+    elif deg >= 3:
+        roots = _companion_roots(c[: deg + 1])
+    else:
+        roots = []
+    out = sorted((w for w in roots if cmath.isfinite(w)), key=lambda w: (w.real, w.imag))
+    at_inf = f.num.degree - f.den.degree if z is None else d - deg
+    out += [None] * (len(roots) - len(out) + max(at_inf, 0))
     if len(out) != d:
         raise PreimageSolveFailed(f"expected {d} preimages, found {len(out)}")
     return out
+
+
+def _companion_roots(c) -> list:
+    """np.roots of the ascending coefficients c (c[-1] != 0) without its
+    set-up, bit for bit: the eigenvalues of the same companion matrix of the
+    coefficients above the vanishing low ones, then an exact 0 for each."""
+    zeros = int(np.flatnonzero(c)[0])
+    p = c[zeros:][::-1]
+    if len(p) == 1:
+        return [0j] * zeros
+    a = np.eye(len(p) - 1, k=-1, dtype=complex)
+    a[0, :] = -p[1:] / p[0]
+    return np.linalg.eigvals(a).tolist() + [0j] * zeros
 
 
 def _quadratic_roots(a, b, c):
@@ -616,14 +638,14 @@ def backward_sample(f: RationalMap, size: int, seed: int) -> MaxEntropySample:
             break
     else:
         raise PreimageSolveFailed("all starting points are exceptional")
-    z = start
+    # one draw of all picks is the stream of one draw per step
+    picks = rng.integers(0, f.degree, size=BURN_IN + size).tolist()
+    z = None if start.infinite else start.value
     pts = []
-    total = BURN_IN + size
-    for k in range(total):
-        pre = preimage_points(f, z)
-        z = pre[int(rng.integers(0, len(pre)))]
+    for k, pick in enumerate(picks):
+        z = _preimage_values(f, z)[pick]
         if k >= BURN_IN:
-            pts.append(z)
+            pts.append(SpherePoint.of(z))
     return MaxEntropySample(points=pts, burn_in=BURN_IN, count=size, seed=seed)
 
 
@@ -637,18 +659,22 @@ class ErgodicEstimates:
 
 def _spherical_log_derivatives(f: RationalMap, points) -> np.ndarray:
     """log of the spherical-metric derivative norm of f at each point."""
-    z_inv, u = chart_split(sphere_array(points))
-    w_inv, v = chart_split(sphere_array(f(p) for p in points))
-    slopes = _chart_slopes(f)(z_inv, w_inv, u).tolist()
-    out = np.empty(len(u))
-    for k, (uk, vk, dval) in enumerate(zip(u.tolist(), v.tolist(), slopes)):
-        mag = abs(dval) * (1.0 + abs(uk) ** 2) / (1.0 + abs(vk) ** 2)
-        if mag <= 0.0 or not math.isfinite(mag):
-            raise DerivativeSingular(
-                f"spherical derivative degenerate at {SpherePoint.of(points[k])}"
-            )
-        out[k] = math.log(mag)
-    return out
+    z = sphere_array(points)
+    z_inv, u = chart_split(z)
+    w_inv, v = chart_split(image_array(f, z))
+    slopes = _chart_slopes(f)(z_inv, w_inv, u)
+    with np.errstate(invalid="ignore", over="ignore"):
+        mag = (
+            _modulus(slopes)
+            * (1.0 + np.float_power(_modulus(u), 2))
+            / (1.0 + np.float_power(_modulus(v), 2))
+        )
+    bad = np.flatnonzero(~np.isfinite(mag) | (mag <= 0.0))
+    if bad.size:
+        raise DerivativeSingular(
+            f"spherical derivative degenerate at {SpherePoint.of(points[bad[0]])}"
+        )
+    return np.log(mag)
 
 
 def lyapunov_exponent(f: RationalMap, sample: MaxEntropySample) -> ErgodicEstimates:
@@ -673,10 +699,8 @@ def lyapunov_exponent(f: RationalMap, sample: MaxEntropySample) -> ErgodicEstima
 def _batched_backward_step(f, z, rng):
     """One backward step for a batch of finite points (complex ndarray)."""
     d = f.degree
-    ln = max(len(f.num.coeffs), len(f.den.coeffs))
-    nc = pad_coeffs(f.num.coeffs, ln)
-    dc = pad_coeffs(f.den.coeffs, ln)
-    if d == 2 and ln == 3:
+    nc, dc = _preimage_coeffs(f)
+    if d == 2 and len(nc) == 3:
         a = nc[2] - z * dc[2]
         b = nc[1] - z * dc[1]
         c = nc[0] - z * dc[0]
@@ -709,9 +733,9 @@ def _batched_backward_step(f, z, rng):
     # degenerate batch entries (infinity, a dropped leading coefficient)
     # take a scalar preimage solve
     for i in np.nonzero(~ok)[0]:
-        pre = preimage_points(f, z[i])
+        pre = _preimage_values(f, complex(z[i]) if np.isfinite(z[i]) else None)
         choice = pre[int(rng.integers(0, len(pre)))]
-        out[i] = complex(math.inf, 0.0) if choice.infinite else choice.value
+        out[i] = complex(math.inf, 0.0) if choice is None else choice
     return out
 
 

@@ -12,12 +12,15 @@ from circledyn.algebra import (
     INF,
     RationalMap,
     SpherePoint,
+    chart_split,
     chordal_distance,
     chordal_distances,
+    pad_coeffs,
     sphere_array,
 )
 from circledyn.classifier import dichotomy_verdict, lattes_doubling_map
 from circledyn.dynamics import (
+    MaxEntropySample,
     _aberth_functional,
     backward_sample,
     cloud_array,
@@ -29,7 +32,7 @@ from circledyn.dynamics import (
     projective_solution_count,
     real_multiplier_test,
 )
-from circledyn.errors import RootFindingFailed
+from circledyn.errors import DerivativeSingular, PreimageSolveFailed, RootFindingFailed
 
 
 def _orbit_index(orbits, key):
@@ -223,6 +226,94 @@ def test_preimages_with_multiplicity():
     assert all(p.infinite for p in pre_inf)
 
 
+def _preimages_by_np_roots(f, z):
+    """The preimage rule solved with np.roots (degree >= 3), as a reference
+    for the kernel: trim below 1e-13 of the largest coefficient, sort the
+    finite roots by (re, im), then infinity by its multiplicity."""
+    ln = max(len(f.num.coeffs), len(f.den.coeffs))
+    nc, dc = pad_coeffs(f.num.coeffs, ln), pad_coeffs(f.den.coeffs, ln)
+    if z is None:
+        c, at_inf = f.den.coeffs.copy(), f.num.degree - f.den.degree
+    else:
+        c = dc - (1.0 / z) * nc if abs(z) > 1e8 else nc - z * dc
+        at_inf = None
+    size = np.abs(c)
+    c = c[: np.nonzero(size > 1e-13 * float(np.max(size)))[0][-1] + 1]
+    deg = len(c) - 1
+    if at_inf is None:
+        at_inf = f.degree - deg
+    if deg == 1:
+        rts = np.array([-c[0] / c[1]])
+    elif deg == 2:
+        rts = dynamics._quadratic_roots(c[2], c[1], c[0])
+    else:
+        rts = np.roots(c[::-1]).astype(complex)
+    rts = rts[np.lexsort((rts.imag, rts.real))]
+    return rts.tolist() + [None] * max(at_inf, 0)
+
+
+@pytest.mark.parametrize(
+    "expr, z",
+    [
+        ("z^2-2", None),
+        ("z^2-2", 0.3 + 0.4j),
+        ("z^3-3*z", None),
+        ("z^3-3*z", 1e9 + 1e9j),
+        # a zero constant term: np.roots strips it and appends the root 0
+        ("z^3-3*z", 0j),
+        ("z^3-3*z", 0.7 - 0.2j),
+        ("lattes", None),
+        ("lattes", -2e8 + 0j),
+        ("lattes", 0.5 + 1.5j),
+        # the degree drops, so infinity is a preimage
+        ("(2*z^2+1)/(3*z^2+z)", 2.0 / 3.0 + 0j),
+        # a leading coefficient below 1e-13 of the largest is trimmed too
+        ("(2*z^2+1)/(3*z^2+z)", 2.0 / 3.0 + 1e-15 + 0j),
+        ("(2*z^2+1)/(3*z^2+z)", None),
+        ("(z^2-4)/(1+0.25*z)", 5e8 - 3e8j),
+    ],
+)
+def test_preimage_kernel_matches_the_np_roots_rule_bit_for_bit(expr, z):
+    f = lattes_doubling_map() if expr == "lattes" else parse_map(expr)
+    got = dynamics._preimage_values(f, z)
+    # repr tells the signs of zeros apart, and round-trips every float
+    assert repr(got) == repr(_preimages_by_np_roots(f, z))
+
+
+def test_zero_preimage_polynomial_raises():
+    f = RationalMap([2.0], [1.0])
+    with pytest.raises(PreimageSolveFailed, match="degenerate"):
+        dynamics._preimage_values(f, 2.0 + 0j)
+    with pytest.raises(PreimageSolveFailed, match="degenerate"):
+        preimage_points(f, 2.0)
+
+
+def _walk_by_points(f, size, seed):
+    """The backward walk step by step: all preimages as SpherePoints, then
+    one draw among them."""
+    rng = np.random.default_rng(seed)
+    z = next(p for p in dynamics._start_candidates(f) if not dynamics._is_exceptional(f, p))
+    pts = []
+    for k in range(dynamics.BURN_IN + size):
+        pre = preimage_points(f, z)
+        z = pre[int(rng.integers(0, len(pre)))]
+        if k >= dynamics.BURN_IN:
+            pts.append(z)
+    return pts
+
+
+@pytest.mark.parametrize(
+    "expr", ["z^2-2", "z^3-3*z", "lattes", "(z^2-4)/(1+0.25*z)"]
+)
+def test_backward_sample_equals_the_step_by_step_walk_bit_for_bit(expr):
+    f = lattes_doubling_map() if expr == "lattes" else parse_map(expr)
+    got = backward_sample(f, 2000, seed=8).points
+    want = _walk_by_points(f, 2000, 8)
+    assert repr([(p.re, p.im, p.infinite) for p in got]) == repr(
+        [(p.re, p.im, p.infinite) for p in want]
+    )
+
+
 def test_lyapunov_squaring():
     f = parse_map("z^2")
     s = backward_sample(f, 2000, seed=3)
@@ -245,6 +336,38 @@ def test_lyapunov_bound_for_line_map():
     est = lyapunov_exponent(f, s)
     assert est.chi >= math.log(2) - 0.02
     assert est.hd_mu_estimate <= 1.0 + 1e-6
+
+
+def _scalar_chi(f, points):
+    """chi and its standard error point by point: log of |f'| in the
+    spherical metric, with f evaluated at each SpherePoint."""
+    z_inv, u = chart_split(sphere_array(points))
+    w_inv, v = chart_split(sphere_array(f(p) for p in points))
+    slopes = dynamics._chart_slopes(f)(z_inv, w_inv, u).tolist()
+    logs = [
+        math.log(abs(s) * (1.0 + abs(a) ** 2) / (1.0 + abs(b) ** 2))
+        for a, b, s in zip(u.tolist(), v.tolist(), slopes)
+    ]
+    return float(np.mean(logs)), float(np.std(logs, ddof=1) / math.sqrt(len(logs)))
+
+
+@pytest.mark.parametrize("expr", ["z^2", "z^2-2", "z^3-3*z", "lattes"])
+def test_array_lyapunov_matches_the_scalar_formula(expr):
+    f = lattes_doubling_map() if expr == "lattes" else parse_map(expr)
+    sample = backward_sample(f, 2000, seed=15)
+    est = lyapunov_exponent(f, sample)
+    chi, stderr = _scalar_chi(f, sample.points)
+    assert abs(est.chi - chi) <= 1e-12 * abs(chi)
+    assert abs(est.chi_stderr - stderr) <= 1e-12 * abs(chi)
+
+
+def test_lyapunov_names_the_first_critical_point_in_the_sample():
+    f = parse_map("z^2")
+    # 0 and infinity are both critical; 0 comes first
+    points = [SpherePoint.of(1.0), SpherePoint.of(1j), SpherePoint.of(0.0), INF]
+    sample = MaxEntropySample(points=points, burn_in=0, count=len(points), seed=0)
+    with pytest.raises(DerivativeSingular, match=r"degenerate at SpherePoint\(0j\)"):
+        lyapunov_exponent(f, sample)
 
 
 def test_julia_cloud_circle():
