@@ -54,6 +54,7 @@ DEDUP_PITCH = 1e-4
 ABERTH_TOL = 1e-13
 ABERTH_MAXITER = 400
 RECIPROCAL_BLOCK = 1 << 16  # complex entries per row block (1 MiB)
+CLOSED_FORM_ROWS = 256  # batch width from which closed-form cubic/quartic roots pay
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +697,100 @@ def lyapunov_exponent(f: RationalMap, sample: MaxEntropySample) -> ErgodicEstima
 # Julia point clouds
 
 
+def _quadratic_rows(a, b, c):
+    """Stable roots of a w^2 + b w + c, row-wise: q = -(b +- disc)/2 with
+    the sign that avoids cancellation, then q/a and c/q."""
+    with np.errstate(all="ignore"):
+        disc = np.sqrt(b * b - 4.0 * a * c)
+        sign = np.where(np.abs(b - disc) > np.abs(b + disc), -1.0, 1.0)
+        q = -0.5 * (b + sign * disc)
+        r1 = q / np.where(a == 0, 1.0, a)
+        r2 = np.where(np.abs(q) > 0, c / np.where(q == 0, 1.0, q), 0.0)
+    return r1, r2
+
+
+def _cubic_rows(c):
+    """Cardano on the monic cubics with ascending coefficient rows c."""
+    shift = c[:, 2] / 3.0
+    p = c[:, 1] - c[:, 2] * shift
+    q = c[:, 0] - shift * (c[:, 1] - 2.0 * shift * shift)
+    s = np.sqrt(0.25 * q * q + p * p * p / 27.0)
+    u3 = np.where(np.abs(s - 0.5 * q) >= np.abs(s + 0.5 * q), s - 0.5 * q, -s - 0.5 * q)
+    # u = 0 only where p = q = 0: a triple root at the shift
+    u = np.where(u3 == 0, 0.0, u3 ** (1.0 / 3.0))[:, None]
+    u = u * np.exp(2j * np.pi / 3.0 * np.arange(3))
+    v = np.where(u == 0, 0.0, p[:, None] / (3.0 * u))
+    return u - v - shift[:, None]
+
+
+def _quartic_rows(c):
+    """Ferrari on the monic quartics with ascending coefficient rows c: the
+    largest root m of the resolvent cubic splits the depressed quartic into
+    two quadratic factors."""
+    shift = c[:, 3] / 4.0
+    sq = shift * shift
+    p = c[:, 2] - 6.0 * sq
+    q = c[:, 1] - 2.0 * c[:, 2] * shift + 8.0 * sq * shift
+    r = c[:, 0] - c[:, 1] * shift + c[:, 2] * sq - 3.0 * sq * sq
+    resolvent = np.stack([-0.125 * q * q, 0.25 * p * p - r, p, np.ones_like(p)], axis=1)
+    ms = _cubic_rows(resolvent)
+    m = ms[np.arange(len(ms)), np.argmax(np.abs(ms), axis=1)]
+    s = np.sqrt(2.0 * m)
+    t = np.where(s == 0, 0.0, q / (2.0 * s))
+    half = 0.5 * p + m
+    y = np.stack(_quadratic_rows(1.0, -s, half + t) + _quadratic_rows(1.0, s, half - t), axis=1)
+    return y - shift[:, None]
+
+
+def _companion_eigvals(c):
+    """Roots of the monic polynomials with ascending coefficient rows c, as
+    the eigenvalues of their stacked companion matrices."""
+    rows, d = c.shape[0], c.shape[1] - 1
+    comp = np.zeros((rows, d, d), dtype=complex)
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    comp[:, :, d - 1] = -c[:, :d]
+    return np.linalg.eigvals(comp)
+
+
+def _monic_roots(c):
+    """Roots of the monic polynomials with ascending coefficient rows c (the
+    last column, 1, is not read), one row of roots each.
+
+    A batch of CLOSED_FORM_ROWS or more cubics or quartics takes the closed
+    forms (Cardano, Ferrari), each root polished by one Newton step kept
+    only where it lowers |P|.  A row passes if every root w has the
+    backward error |P(w)| <= 1e-12 sum |c_k| |w|^k; rows that fail, other
+    degrees and narrower batches, where LAPACK is cheaper per row, take the
+    companion eigensolve."""
+    closed = {3: _cubic_rows, 4: _quartic_rows}.get(c.shape[1] - 1)
+    if closed is None or len(c) < CLOSED_FORM_ROWS:
+        return _companion_eigvals(c)
+    with np.errstate(all="ignore"):
+        w = closed(c)
+        val, slope = _horner(c, w)
+        polished = w - val / slope
+        polished_val = _horner(c, polished)[0]
+        better = np.abs(polished_val) < np.abs(val)
+        w = np.where(better, polished, w)
+        val = np.where(better, polished_val, val)
+        size = _horner(np.abs(c), np.abs(w))[0]
+        ok = np.all(np.abs(val) <= 1e-12 * size, axis=1)
+    if not np.all(ok):
+        w[~ok] = _companion_eigvals(c[~ok])
+    return w
+
+
+def _horner(c, w):
+    """The monic polynomials with ascending coefficient rows c, and their
+    derivatives, at the points w (one row of points per row of c)."""
+    val = np.ones_like(w)
+    slope = np.zeros_like(w)
+    for k in range(c.shape[1] - 2, -1, -1):
+        slope = slope * w + val
+        val = val * w + c[:, k, None]
+    return val, slope
+
+
 def _batched_backward_step(f, z, rng):
     """One backward step for a batch of finite points (complex ndarray)."""
     d = f.degree
@@ -705,31 +800,24 @@ def _batched_backward_step(f, z, rng):
         b = nc[1] - z * dc[1]
         c = nc[0] - z * dc[0]
         ok = np.abs(a) > 1e-13 * (np.abs(a) + np.abs(b) + np.abs(c))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            disc = np.sqrt(b * b - 4.0 * a * c)
-            sign = np.where(np.abs(b - disc) > np.abs(b + disc), -1.0, 1.0)
-            q = -0.5 * (b + sign * disc)
-            r1 = np.where(ok, q / np.where(a == 0, 1.0, a), 0.0)
-            r2 = np.where(np.abs(q) > 0, c / np.where(q == 0, 1.0, q), 0.0)
+        r1, r2 = _quadratic_rows(a, b, c)
         pick = rng.integers(0, 2, size=len(z))
         out = np.where(pick == 0, r1, r2)
     else:
-        # general degree: stacked companion matrices, one eigensolve per batch
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             coeffs = nc[None, :] - z[:, None] * dc[None, :]
             lead = coeffs[:, -1]
             scale = np.max(np.abs(coeffs), axis=1)
             ok = np.isfinite(scale) & (np.abs(lead) > 1e-12 * scale)
+            # a degenerate entry solves w^d = 0 in its row: the batch keeps
+            # the walk's width, which picks the root kernel
+            monic = np.where(ok[:, None], coeffs / lead[:, None], 0.0)
         out = np.empty_like(z)
         idx_ok = np.nonzero(ok)[0]
         if idx_ok.size:
-            monic = coeffs[idx_ok] / lead[idx_ok, None]
-            comp = np.zeros((len(idx_ok), d, d), dtype=complex)
-            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-            comp[:, :, d - 1] = -monic[:, :d]
-            roots = np.linalg.eigvals(comp)
+            roots = _monic_roots(monic)
             pick = rng.integers(0, d, size=len(idx_ok))
-            out[idx_ok] = roots[np.arange(len(idx_ok)), pick]
+            out[idx_ok] = roots[idx_ok, pick]
     # degenerate batch entries (infinity, a dropped leading coefficient)
     # take a scalar preimage solve
     for i in np.nonzero(~ok)[0]:
@@ -739,10 +827,18 @@ def _batched_backward_step(f, z, rng):
     return out
 
 
-def _sampler_points(f: RationalMap, size: int, seed: int) -> np.ndarray:
-    """Batched backward sampling used internally (initialization, clouds)."""
+def _sampler_points(f: RationalMap, size: int, seed: int, cloud: bool = False) -> np.ndarray:
+    """Batched backward sampling from repelling low-period points.
+
+    A cloud of a degree-3 or degree-4 map walks CLOSED_FORM_ROWS chains, so
+    that every step takes the closed-form roots of `_monic_roots`.  Other
+    walks, the period seeds among them, run at most 64 chains, which take
+    the companion eigensolve (or the quadratic formula at degree 2)."""
     starts = _start_candidates(f)
-    chains = int(min(64, max(8, size // 32 + 1)))
+    if cloud and f.degree in (3, 4):
+        chains = CLOSED_FORM_ROWS
+    else:
+        chains = int(min(64, max(8, size // 32 + 1)))
     rng = np.random.default_rng(seed)
     z0 = np.array(
         [
@@ -766,28 +862,46 @@ def _sampler_points(f: RationalMap, size: int, seed: int) -> np.ndarray:
 def julia_cloud(f: RationalMap, size: int, seed: int):
     """Union of backward runs from repelling low-period points, deduplicated
     on a grid of pitch 1e-4 (both charts).  Returns at most `size` points,
-    fewer when the grid saturates (thin Cantor Julia sets)."""
-    seen = {}
+    fewer when the grid saturates (thin Cantor Julia sets).
+
+    Each batch adds, in batch order, the points of the grid cells it is
+    first to reach, until `size` cells are filled; the points come out
+    sorted by `SpherePoint.sort_key`."""
+    seen = np.zeros(0, dtype=np.int64)
+    kept = [np.zeros(0, dtype=complex)]
+    count = 0
     rounds = 0
     added = size
-    while len(seen) < size and rounds < 40 and added >= max(1, size // 200):
-        batch = _sampler_points(f, max(size, 512), seed=seed + 1009 * rounds)
-        inverted, w = chart_split(batch)
-        cells = zip(inverted, np.round(w.real / DEDUP_PITCH), np.round(w.imag / DEDUP_PITCH))
-        before = len(seen)
-        for z, key in zip(batch, cells):
-            if key not in seen:
-                seen[key] = z
-            if len(seen) >= size:
-                break
-        added = len(seen) - before
+    while count < size and rounds < 40 and added >= max(1, size // 200):
+        batch = _sampler_points(f, max(size, 512), seed=seed + 1009 * rounds, cloud=True)
+        cells, first = np.unique(_grid_cells(batch), return_index=True)
+        new = ~np.isin(cells, seen)
+        # the cells beyond the cut are marked seen too: the loop ends there
+        seen = np.concatenate([seen, cells[new]])
+        fresh = np.sort(first[new])[: size - count]
+        kept.append(batch[fresh])
+        added = len(fresh)
+        count += added
         rounds += 1
-    pts = [
-        INF if not (math.isfinite(z.real) and math.isfinite(z.imag)) else SpherePoint.of(z)
-        for z in seen.values()
+    z = np.concatenate(kept)
+    finite = np.isfinite(z)
+    re = np.where(finite, z.real, math.inf)
+    im = np.where(finite, z.imag, 0.0)
+    order = np.lexsort((im, re))
+    return [
+        SpherePoint(x, y) if is_finite else INF
+        for x, y, is_finite in zip(re[order].tolist(), im[order].tolist(), finite[order].tolist())
     ]
-    pts.sort(key=lambda p: p.sort_key())
-    return pts
+
+
+def _grid_cells(z) -> np.ndarray:
+    """The cell of each point on the grid of pitch DEDUP_PITCH in its chart
+    (`chart_split`), as one integer; -0.0 and 0.0 share a cell."""
+    inverted, w = chart_split(z)
+    span = 2 * int(round(1.0 / DEDUP_PITCH)) + 1
+    re = np.round(w.real / DEDUP_PITCH).astype(np.int64) + span // 2
+    im = np.round(w.imag / DEDUP_PITCH).astype(np.int64) + span // 2
+    return (inverted * span + re) * span + im
 
 
 def cloud_array(cloud):

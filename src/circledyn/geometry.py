@@ -177,7 +177,8 @@ def best_circle(cloud, anchors=None):
     except DegeneratePoints:
         pass
     seed_pts = [SpherePoint.of(p) for p in (anchors or [])]
-    if len(seed_pts) < 3:
+    anchored = len(seed_pts) >= 3
+    if not anchored:
         seed_pts = [SpherePoint.of(p) for p in pts]
     triple = _well_separated_triple(seed_pts)
     if triple is not None:
@@ -188,7 +189,11 @@ def best_circle(cloud, anchors=None):
     if not candidates:
         raise DegenerateCloud("cloud does not determine a circle")
     scored = [(containment_residual(circ, pts), k, circ) for k, circ in enumerate(candidates)]
-    scored.sort(key=lambda t: (t[0], t[1]))
+    # residuals below 1e-12 tie: then the circle through the anchors (solved
+    # points of J) beats the fit, so rounding noise in the sampled cloud
+    # never chooses the circle
+    preferred = len(candidates) - 1 if anchored else 0
+    scored.sort(key=lambda t: (max(t[0], 1e-12), t[1] != preferred))
     best_res, _, best = scored[0]
     return best, best_res
 

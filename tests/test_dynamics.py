@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -634,3 +635,210 @@ def test_orbit_closing_memory_does_not_grow_with_the_square_of_the_degree():
         tracemalloc.stop()
     assert len(orbits) == 186
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# closed-form roots of the wide backward walk
+
+
+def _monic_preimage_rows(f, zs):
+    """Monic ascending rows of num(w) - z den(w), one per value z."""
+    nc, dc = dynamics._preimage_coeffs(f)
+    c = nc[None, :] - np.asarray(zs, dtype=complex)[:, None] * dc[None, :]
+    return c / c[:, -1:]
+
+
+def _wide(rows):
+    """Each row repeated into a batch wide enough for the closed forms."""
+    return np.repeat(rows, dynamics.CLOSED_FORM_ROWS, axis=0)
+
+
+def _multiset_error(a, b) -> float:
+    """Largest distance between the roots a and b matched as multisets,
+    relative to max(1, |b|)."""
+    best = min(
+        np.max(np.abs(a - b[list(p)])) for p in itertools.permutations(range(len(b)))
+    )
+    return best / max(1.0, float(np.max(np.abs(b))))
+
+
+@pytest.mark.parametrize(
+    "d, odd", [(3, 1.0), (4, 1.0), (4, 0.0)], ids=["cubic", "quartic", "biquadratic"]
+)
+def test_closed_form_roots_equal_the_companion_eigenvalues(d, odd):
+    rng = np.random.default_rng(3)
+    shape = (2 * dynamics.CLOSED_FORM_ROWS, d + 1)
+    c = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 2, size=(shape[0], 1))
+    c = c + 1j * rng.standard_normal(shape)
+    c[:, 1::2] *= odd
+    c[:, d] = 1.0
+    roots = dynamics._monic_roots(c)
+    eig = dynamics._companion_eigvals(c)
+    assert max(_multiset_error(w, e) for w, e in zip(roots, eig)) <= 1e-12
+    # the closed forms, not the fallback, produced (almost) every row
+    assert sum(np.array_equal(w, e) for w, e in zip(roots, eig)) < len(c) // 100
+
+
+@pytest.mark.parametrize(
+    "expr, z, want, closed",
+    [
+        ("z^3-3*z", 2.0, [-1.0, -1.0, 2.0], True),
+        ("z^3-3*z", -2.0, [-2.0, 1.0, 1.0], True),
+        # the critical values of the Chebyshev quartic; at 2 the root 0 is
+        # double and the row takes the eigensolve
+        ("z^4-4*z^2+2", 2.0, [-2.0, 0.0, 0.0, 2.0], False),
+        ("z^4-4*z^2+2", -2.0, [-math.sqrt(2.0)] * 2 + [math.sqrt(2.0)] * 2, True),
+    ],
+)
+def test_closed_form_keeps_exact_double_roots(monkeypatch, expr, z, want, closed):
+    # P' vanishes at a double root: the Newton step there is not taken, so
+    # the closed-form roots pass the check without the eigensolve
+    if closed:
+        monkeypatch.setattr(dynamics, "_companion_eigvals", None)
+    roots = dynamics._monic_roots(_wide(_monic_preimage_rows(parse_map(expr), [z])))
+    assert _multiset_error(roots[0], np.array(want, dtype=complex)) <= 1e-7
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_closed_form_keeps_random_double_roots_without_the_eigensolve(monkeypatch, d):
+    # near a double root the Newton step divides rounding noise by rounding
+    # noise; unguarded, it throws some rows onto the eigensolve
+    monkeypatch.setattr(dynamics, "_companion_eigvals", None)
+    rng = np.random.default_rng(5)
+    rows = 2 * dynamics.CLOSED_FORM_ROWS
+    double = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    others = rng.standard_normal((rows, d - 2)) + 1j * rng.standard_normal((rows, d - 2))
+    want = np.concatenate([double[:, None], double[:, None], others], axis=1)
+    c = np.array([np.poly(r)[::-1] for r in want])
+    roots = dynamics._monic_roots(c)
+    assert max(_multiset_error(w, r) for w, r in zip(roots, want)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "f, z",
+    [
+        (lattes_doubling_map(), 1e8),
+        (lattes_doubling_map(), 1e8 * (1.0 + 1.0j)),
+        (lattes_doubling_map(), 1e200),
+        (parse_map("z^3-3*z"), 1e200),
+    ],
+)
+def test_huge_values_fall_back_to_the_eigensolve(f, z):
+    rows = _wide(_monic_preimage_rows(f, [z]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = dynamics._monic_roots(rows)
+    assert np.array_equal(roots, dynamics._companion_eigvals(rows))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_narrow_batches_take_the_eigensolve_bit_for_bit(d):
+    rng = np.random.default_rng(4)
+    shape = (dynamics.CLOSED_FORM_ROWS - 1, d + 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c[:, d] = 1.0
+    assert np.array_equal(dynamics._monic_roots(c), dynamics._companion_eigvals(c))
+
+
+def _arcsine_ks_distance(x) -> float:
+    """Kolmogorov-Smirnov distance of the sample x from the arcsine law on
+    [-2, 2], F(x) = 1/2 + arcsin(x/2)/pi."""
+    x = np.sort(x)
+    cdf = 0.5 + np.arcsin(np.clip(x / 2.0, -1.0, 1.0)) / np.pi
+    n = len(x)
+    return float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
+
+
+@pytest.mark.parametrize("expr", ["z^3-3*z", "z^4-4*z^2+2"])
+@pytest.mark.parametrize("cloud", [False, True], ids=["narrow", "wide"])
+def test_backward_walk_samples_the_arcsine_measure(expr, cloud):
+    # both Chebyshev maps have J = [-2, 2] with the arcsine law as their
+    # measure of maximal entropy.  Distances at seed 1, narrow / wide walk:
+    # z^3-3z 0.0042 / 0.0064, z^4-4z^2+2 0.0047 / 0.0125
+    z = dynamics._sampler_points(parse_map(expr), 20000, seed=1, cloud=cloud)
+    assert np.max(np.abs(z.imag)) < 1e-12
+    assert _arcsine_ks_distance(z.real) < 0.02
+
+
+@pytest.mark.parametrize("expr", ["z^2-2", "z^5-5*z^3+5*z"])
+def test_clouds_of_other_degrees_keep_the_narrow_walk(expr):
+    f = parse_map(expr)
+    wide = dynamics._sampler_points(f, 3000, seed=1, cloud=True)
+    assert np.array_equal(wide, dynamics._sampler_points(f, 3000, seed=1))
+
+
+def test_period_solves_never_reach_the_closed_forms(monkeypatch):
+    def closed_form(c):
+        raise AssertionError("a period seed walk reached the closed-form roots")
+
+    monkeypatch.setattr(dynamics, "_cubic_rows", closed_form)
+    monkeypatch.setattr(dynamics, "_quartic_rows", closed_form)
+    assert real_multiplier_test(parse_map("z^3-3*z"), 6)["passed"]
+    assert real_multiplier_test(lattes_doubling_map(), 4)["passed"]
+
+
+def _dict_loop_cloud(batch_of_round, size):
+    """julia_cloud's deduplication as a dict of grid cells, point by point:
+    the reference for the array version."""
+    seen = {}
+    rounds = 0
+    added = size
+    while len(seen) < size and rounds < 40 and added >= max(1, size // 200):
+        batch = batch_of_round(rounds)
+        inverted, w = chart_split(batch)
+        cells = zip(inverted, np.round(w.real / 1e-4), np.round(w.imag / 1e-4))
+        before = len(seen)
+        for z, key in zip(batch, cells):
+            if key not in seen:
+                seen[key] = z
+            if len(seen) >= size:
+                break
+        added = len(seen) - before
+        rounds += 1
+    pts = [
+        INF if not (math.isfinite(z.real) and math.isfinite(z.imag)) else SpherePoint.of(z)
+        for z in seen.values()
+    ]
+    pts.sort(key=lambda p: p.sort_key())
+    return pts
+
+
+def _cloud_bits(cloud):
+    return [(p.infinite, repr(p.re), repr(p.im)) for p in cloud]
+
+
+CRAFTED_ROUNDS = [
+    # infinity, then a huge value in its cell; -0.0 and 0.0 in one cell;
+    # two values in one cell; the reciprocal chart beyond |z| = 1
+    [complex(math.inf, 0.0), 1e300, complex(-0.0, -0.0), 0.0, 0.5, 0.50000001, 3.0, -1e-5j],
+    [-2e300j, 0.5, 2.0, 3.0 + 1e-9j, complex(0.0, -0.0), 0.25 + 0.25j, 1e-5j, complex(-0.0, 0.3), 0.2j],
+    [0.25 + 0.25j, 2.0],
+]
+
+
+@pytest.mark.parametrize("size", [3, 7, 11, 600])
+def test_julia_cloud_dedup_equals_the_dict_loop_on_crafted_batches(monkeypatch, size):
+    def batch_of_round(r):
+        return np.array(CRAFTED_ROUNDS[min(r, len(CRAFTED_ROUNDS) - 1)], dtype=complex)
+
+    monkeypatch.setattr(
+        dynamics, "_sampler_points", lambda f, n, seed, cloud: batch_of_round((seed - 5) // 1009)
+    )
+    got = julia_cloud(parse_map("z^2"), size, seed=5)
+    assert _cloud_bits(got) == _cloud_bits(_dict_loop_cloud(batch_of_round, size))
+
+
+def test_julia_cloud_dedup_equals_the_dict_loop_on_a_saturating_cantor_set(monkeypatch):
+    f = parse_map(EX2_MAP)
+    rounds = []
+    sampler = dynamics._sampler_points
+
+    def counted(f, size, seed, cloud):
+        rounds.append(seed)
+        return sampler(f, size, seed, cloud)
+
+    monkeypatch.setattr(dynamics, "_sampler_points", counted)
+    got = julia_cloud(f, 3000, seed=5)
+    assert 0 < len(got) < 3000 and len(rounds) >= 3
+    want = _dict_loop_cloud(lambda r: sampler(f, 3000, 5 + 1009 * r, True), 3000)
+    assert _cloud_bits(got) == _cloud_bits(want)

@@ -8,6 +8,7 @@ from circledyn.geometry import (
     REAL_LINE,
     UNIT_CIRCLE,
     GeneralizedCircle,
+    _well_separated_triple,
     best_circle,
     circle_through_3,
     containment_residual,
@@ -63,6 +64,28 @@ def test_best_circle_radius_two():
     n = circ.normalized()
     # A|z|^2 + C = 0 on |z| = 2 means C/A = -4
     assert n.C / n.A == pytest.approx(-4.0, rel=1e-9)
+
+
+def _noisy_unit_circle(noise):
+    rng = np.random.default_rng(0)
+    angles, radial = rng.random(200), rng.standard_normal(200)
+    return [SpherePoint.of(np.exp(2j * np.pi * t) * (1.0 + noise * e)) for t, e in zip(angles, radial)]
+
+
+def test_best_circle_prefers_the_anchors_on_a_rounding_level_tie():
+    # the fit follows the 1e-14 noise and may score lower; below 1e-12 the
+    # residuals tie, and the circle through the anchors wins
+    anchors = [SpherePoint.of(np.exp(2j * np.pi * k / 3)) for k in range(3)]
+    circ, res = best_circle(_noisy_unit_circle(1e-14), anchors=anchors)
+    assert res < 1e-12
+    assert circ == circle_through_3(*_well_separated_triple(anchors))
+
+
+def test_best_circle_keeps_the_fit_when_the_anchors_are_off():
+    anchors = [SpherePoint.of(np.exp(2j * np.pi * k / 3) * (1.0 + 1e-9 * k)) for k in range(3)]
+    circ, res = best_circle(_noisy_unit_circle(1e-14), anchors=anchors)
+    assert res < 1e-12
+    assert circ != circle_through_3(*_well_separated_triple(anchors))
 
 
 def test_best_circle_chebyshev_line():
