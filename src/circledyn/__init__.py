@@ -14,7 +14,7 @@ from .algebra import (
     even_part_lift,
 )
 from .parser import format_map, map_from_coeff_json, parse_map
-from .roots import RootSet, all_roots, newton_refine
+from .roots import RootSet, all_roots
 
 __all__ = [
     "INF",
@@ -32,6 +32,5 @@ __all__ = [
     "even_part_lift",
     "format_map",
     "map_from_coeff_json",
-    "newton_refine",
     "parse_map",
 ]

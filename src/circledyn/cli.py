@@ -73,16 +73,32 @@ def emit(payload, out_path):
     return EXIT_OK
 
 
-def _load_map(args) -> RationalMap:
+def _load_map(args, min_degree: int = 0) -> RationalMap:
     sources = [s for s in (args.map, args.coeffs, args.example) if s]
     if len(sources) != 1:
         raise CircledynError("give exactly one of --map, --coeffs, --example")
     if args.map:
-        return parse_map(args.map)
-    if args.coeffs:
+        f = parse_map(args.map)
+    elif args.coeffs:
         with open(args.coeffs) as fh:
-            return map_from_coeff_json(fh.read())
-    return build_example(args.example, **_example_params(args)).map
+            f = map_from_coeff_json(fh.read())
+    else:
+        f = build_example(args.example, **_example_params(args)).map
+    if f.degree < min_degree:
+        raise CircledynError(f"{args.command} needs a map of degree >= {min_degree}")
+    return f
+
+
+def _load_json(path, key):
+    """The JSON object in the file at path, which must hold key."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise CircledynError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(data, dict) or key not in data:
+        raise CircledynError(f'{path}: expected a JSON object with "{key}"')
+    return data
 
 
 def _example_params(args) -> dict:
@@ -102,7 +118,7 @@ def _add_map_args(sub):
 
 
 def cmd_classify(args) -> int:
-    f = _load_map(args)
+    f = _load_map(args, min_degree=2)
     report = dichotomy_verdict(
         f, n_max=args.nmax, seed=args.seed, cloud_size=args.cloud, tol=args.tol
     )
@@ -151,7 +167,7 @@ def render_pgm(path, cloud, window, res):
 
 
 def cmd_julia(args) -> int:
-    f = _load_map(args)
+    f = _load_map(args, min_degree=2)
     cloud = julia_cloud(f, args.size, args.seed)
     lines = []
     for p in cloud:
@@ -209,8 +225,8 @@ def cmd_construct(args) -> int:
     if bool(args.values) == bool(args.spec_file):
         raise CircledynError("give exactly one of --values, --spec-file")
     if args.spec_file:
-        with open(args.spec_file) as fh:
-            values = tuple(float(v) for v in json.load(fh)["critical_values"])
+        data = _load_json(args.spec_file, "critical_values")
+        values = tuple(float(v) for v in data["critical_values"])
     else:
         values = tuple(float(v) for v in args.values.split(","))
     spec = CriticalValueSpec(values)
@@ -232,8 +248,7 @@ def cmd_examples(args) -> int:
     if bool(args.family) == bool(args.file):
         raise CircledynError("give exactly one of --family, --file")
     if args.file:
-        with open(args.file) as fh:
-            data = json.load(fh)
+        data = _load_json(args.file, "family")
         family = data.pop("family")
         params = {k: float(v) for k, v in data.items()}
     else:

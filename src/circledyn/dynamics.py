@@ -43,6 +43,7 @@ from .errors import (
     PreimageSolveFailed,
     RootFindingFailed,
 )
+from .roots import _companion_roots, all_roots
 
 NEUTRAL_BAND = 1e-6
 PERIOD_DEGREE_CAP = 4097
@@ -147,19 +148,6 @@ def _preimage_values(f: RationalMap, z) -> list:
     if len(out) != d:
         raise PreimageSolveFailed(f"expected {d} preimages, found {len(out)}")
     return out
-
-
-def _companion_roots(c) -> list:
-    """np.roots of the ascending coefficients c (c[-1] != 0) without its
-    set-up, bit for bit: the eigenvalues of the same companion matrix of the
-    coefficients above the vanishing low ones, then an exact 0 for each."""
-    zeros = int(np.flatnonzero(c)[0])
-    p = c[zeros:][::-1]
-    if len(p) == 1:
-        return [0j] * zeros
-    a = np.eye(len(p) - 1, k=-1, dtype=complex)
-    a[0, :] = -p[1:] / p[0]
-    return np.linalg.eigvals(a).tolist() + [0j] * zeros
 
 
 def _quadratic_roots(a, b, c):
@@ -272,8 +260,6 @@ def _infinity_orbit(f: RationalMap, n: int):
 
 def _fixed_point_solutions(f: RationalMap) -> np.ndarray:
     """The finite fixed points of f, without multiplicity."""
-    from .roots import all_roots
-
     ln = max(len(f.num.coeffs), len(f.den.coeffs) + 1)
     c = pad_coeffs(f.num.coeffs, ln)
     c[1 : len(f.den.coeffs) + 1] -= f.den.coeffs

@@ -13,19 +13,6 @@ class RootFindingFailed(CircledynError):
     pass
 
 
-class NoConvergence(RootFindingFailed):
-    """Simultaneous iteration ran out of iterations; best iterate attached."""
-
-    def __init__(self, message, best=None, iterations=0):
-        super().__init__(message)
-        self.best = best
-        self.iterations = iterations
-
-
-class Stalled(CircledynError):
-    pass
-
-
 class MapSyntaxError(CircledynError):
     """Parse failure; carries the byte offset of the offending token."""
 

@@ -12,11 +12,12 @@ Every node evaluates to a rational map; parse errors carry the byte offset.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .algebra import DEGREE_CAP, Poly, RationalMap
-from .errors import DegreeCapExceeded, DivisionByZeroPolynomial, MapSyntaxError
+from .errors import CircledynError, DegreeCapExceeded, DivisionByZeroPolynomial, MapSyntaxError
 
 
 class _Tokenizer:
@@ -64,7 +65,10 @@ class _Tokenizer:
             self.pos += 1
         if not seen_digit:
             raise MapSyntaxError("expected a number", start)
-        return float(self.text[start : self.pos]), start
+        value = float(self.text[start : self.pos])
+        if not math.isfinite(value):
+            raise MapSyntaxError("number out of floating-point range", start)
+        return value, start
 
     def uint(self):
         self._skip_ws()
@@ -198,7 +202,12 @@ def format_map(f: RationalMap) -> str:
 
 def map_from_coeff_json(text: str) -> RationalMap:
     """Build a map from JSON {"num": [[re, im], ...], "den": [[re, im], ...]}."""
-    data = json.loads(text)
-    num = np.array([complex(re, im) for re, im in data["num"]], dtype=complex)
-    den = np.array([complex(re, im) for re, im in data["den"]], dtype=complex)
+    try:
+        data = json.loads(text)
+        num = np.array([complex(re, im) for re, im in data["num"]], dtype=complex)
+        den = np.array([complex(re, im) for re, im in data["den"]], dtype=complex)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CircledynError(f"malformed coefficient JSON: {exc!r}") from exc
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise CircledynError("coefficient JSON holds a non-finite value")
     return RationalMap(num, den)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,13 +228,17 @@ def test_poly_root_residual_invariant():
     from circledyn.roots import all_roots
 
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-        p = Poly(coeffs)
-        rs = all_roots(p, 1e-12)
-        scale = max(1.0, float(np.max(np.abs(p.coeffs))))
-        for r in rs.roots:
-            assert abs(p(r)) <= 1e-9 * scale * max(1.0, abs(r)) ** p.degree
+    degrees = [5] * 5 + [d for d in (6, 12, 20, 30, 40) for _ in range(10)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for deg in degrees:
+            coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            p = Poly(coeffs)
+            rs = all_roots(p, 1e-12)
+            assert sum(rs.multiplicities) == p.degree
+            scale = max(1.0, float(np.max(np.abs(p.coeffs))))
+            for r in rs.roots:
+                assert abs(p(r)) <= 1e-9 * scale * max(1.0, abs(r)) ** p.degree
 
 
 # points that stress the chart rule: 0, infinity, the unit circle, and a

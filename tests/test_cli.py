@@ -236,3 +236,55 @@ def test_near_line_constructed_polynomial_classifies(tmp_path, capsys):
     code, out, _ = run_cli(["classify", "--coeffs", str(coeffs), "--nmax", "3"], capsys)
     assert code == 0
     assert json.loads(out)["verdict"] == "CIRCLE_CASE_III"
+
+
+@pytest.mark.parametrize(
+    "args, files",
+    [
+        pytest.param(["classify", "--map", "z"], {}, id="classify-degree-1"),
+        pytest.param(["classify", "--map", "1e400*z^2+1"], {}, id="overflowing-literal"),
+        pytest.param(["julia", "--map", "z"], {}, id="julia-degree-1"),
+        pytest.param(
+            ["classify", "--coeffs", "{dir}/c.json"],
+            {"c.json": '{"num": [[NaN, 0]], "den": [[1, 0]]}'},
+            id="coeffs-nan",
+        ),
+        pytest.param(
+            ["classify", "--coeffs", "{dir}/c.json"],
+            {"c.json": '{"num": [[1e400, 0]], "den": [[1, 0]]}'},
+            id="coeffs-overflow",
+        ),
+        pytest.param(
+            ["classify", "--coeffs", "{dir}/c.json"], {"c.json": '{"num": [[1, 0]'}, id="coeffs-malformed"
+        ),
+        pytest.param(
+            ["classify", "--coeffs", "{dir}/c.json"],
+            {"c.json": '{"num": [[0, 0], [0, 0], [1, 0]]}'},
+            id="coeffs-no-den",
+        ),
+        pytest.param(
+            ["construct", "--spec-file", "{dir}/s.json"],
+            {"s.json": '{"critical_values": [-0.5'},
+            id="spec-malformed",
+        ),
+        pytest.param(
+            ["construct", "--spec-file", "{dir}/s.json"], {"s.json": '{"values": [-0.5]}'}, id="spec-no-key"
+        ),
+        pytest.param(
+            ["examples", "--file", "{dir}/e.json"], {"e.json": '{"family": "EX1"'}, id="example-malformed"
+        ),
+        pytest.param(["examples", "--file", "{dir}/e.json"], {"e.json": '{"c": 0.25}'}, id="example-no-key"),
+    ],
+)
+def test_bad_outside_input_is_a_usage_error(args, files, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run_cli([a.format(dir=tmp_path) for a in args], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_degree_one_map_still_linearizes(capsys):
+    code, out, _ = run_cli(["poincare", "--map", "2*z", "--at", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["lambda"] == [2.0, 0.0]

@@ -1,8 +1,8 @@
-import math
-
 import numpy as np
+import pytest
 
-from circledyn import Poly, all_roots, newton_refine
+from circledyn import Poly, all_roots
+from circledyn.errors import RootFindingFailed
 
 
 def test_cube_roots_of_unity():
@@ -36,6 +36,10 @@ def test_double_root_multiplicity():
     rs = all_roots(p, 1e-12)
     assert list(rs.multiplicities) == [2]
     assert abs(rs.roots[0] - 0.5) < 1e-6
+    # z^2 (z^2 - 1): the double root at the origin stays an exact 0j
+    rs = all_roots(Poly([0.0, 0.0, -1.0, 0.0, 1.0]), 1e-12)
+    assert list(rs.multiplicities) == [1, 2, 1]
+    assert repr(complex(rs.roots[1])) == "0j"
 
 
 def test_real_coefficients_conjugate_closure():
@@ -72,19 +76,10 @@ def test_deterministic_ordering():
     assert a.multiplicities == b.multiplicities
 
 
-def test_newton_refine_sqrt2():
-    z = newton_refine(Poly([-2.0, 0.0, 1.0]), 1.4, steps=30)
-    assert abs(z - math.sqrt(2)) < 1e-12
+def test_failed_eigensolve_is_a_root_finding_failure(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-
-def test_newton_refine_already_converged():
-    z0 = 1.414213562
-    z = newton_refine(Poly([-2.0, 0.0, 1.0]), z0, steps=30)
-    assert abs(z - math.sqrt(2)) < 1e-14
-
-
-def test_newton_refine_triple_root_damped():
-    p = Poly(np.convolve(np.convolve([-1.0, 1.0], [-1.0, 1.0]), [-1.0, 1.0]))
-    z = newton_refine(p, 1.1, steps=60)
-    assert abs(z - 1.0) < 1e-4
-    assert abs(p(z)) <= abs(p(1.1))
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(RootFindingFailed, match="companion eigensolve failed"):
+        all_roots(Poly([-1.0, 0.0, 1.0]))
