@@ -26,7 +26,6 @@ is the point at infinity (`sphere_array`).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -261,12 +260,6 @@ class Poly:
             comp[0] += c
         return Poly(comp)
 
-    def monic(self) -> "Poly":
-        lead = self.coeffs[-1]
-        if lead == 0:
-            return Poly(self.coeffs)
-        return Poly(self.coeffs / lead)
-
     def deflate(self, root) -> "Poly":
         """Divide out (z - root), discarding the remainder."""
         c = self.coeffs
@@ -387,11 +380,6 @@ class Moebius:
     @staticmethod
     def inversion() -> "Moebius":
         return Moebius(0.0, 1.0, 1.0, 0.0)
-
-    def normalized(self) -> "Moebius":
-        det = self.a * self.d - self.b * self.c
-        s = 1.0 / cmath.sqrt(det)
-        return Moebius(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def inverse(self) -> "Moebius":
         return Moebius(self.d, -self.b, -self.c, self.a)

@@ -74,11 +74,7 @@ class SpecViolation(CircledynError):
 
 
 class NewtonDiverged(CircledynError):
-    """Inverse critical-value solve diverged; carries an iteration trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
+    """Inverse critical-value solve failed or missed its tolerance."""
 
 
 class ParamOutOfRange(CircledynError):

@@ -7,7 +7,9 @@ Critical values are enumerated left to right by critical point.  Admissible
 sequences have every value outside (0, 1) and alternate sides of the unit
 gap: the nonzero entries of (-1)^j c_j share one sign (zeros permitted).
 Under that condition a real polynomial with those critical values exists,
-normalized so the convex hull of f^{-1}({0, 1}) is [0, 1].
+normalized so the convex hull of f^{-1}({0, 1}) is [0, 1].  Its Julia set
+is real only if its critical points are simple: a double critical point
+(an adjacent equal pair) merges two laps, and J leaves the real line.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from .errors import (
     SpecViolation,
 )
 from .geometry import real_critical_points, real_line_degree, real_poles
-from .roots import roots_with_multiplicity
+from .roots import _companion_roots, roots_with_multiplicity
 
 EX3_MAX_EPS = 0.05
-JACOBIAN_STEP = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -122,152 +123,129 @@ class ConstructedPolynomial:
     residual: float
 
 
-def _integrate_monic_product(xi, mult, d):
-    """Antiderivative G with G' = d prod (z - xi_j)^{m_j}, G(0) = 0."""
-    c = np.array([1.0], dtype=complex)
-    for x, m in zip(xi, mult):
-        for _ in range(m):
-            c = np.convolve(c, np.array([-x, 1.0], dtype=complex))
-    c = d * c
-    out = np.zeros(len(c) + 1, dtype=complex)
-    out[1:] = c / np.arange(1, len(c) + 1)
-    return out
+def _residual_jacobian(u, mults, targets, v0, d):
+    """Residual of u = (xi, s) and its analytic Jacobian, plus the
+    polynomial P = v0 + s G, G' = d prod (z - xi_j)^{m_j}, G(0) = 0.
+
+    The residual holds P(xi_j) - c_j and P(1) - f(1).  dP/ds = G and
+    dP(x)/dxi_j = s int_0^x -m_j d prod (z - xi_i)^{m_i - delta_ij} dz; the
+    P'(xi_j) term of the total derivative is 0 at a critical point."""
+    xi, s = u[:-1], u[-1]
+    dgdz = d * np.poly(np.repeat(xi, mults))[::-1]
+    # rows j: the quotients of G' by (z - xi_j), by synthetic division
+    quot = np.empty((len(xi), d - 1))
+    acc = np.zeros(len(xi))
+    for i in range(d - 1, 0, -1):
+        acc = dgdz[i] + xi * acc
+        quot[:, i - 1] = acc
+    # x^i / i at the residual points: the integral from 0 as a product
+    powers = np.append(xi, 1.0)[:, None] ** np.arange(1, d + 1) / np.arange(1, d + 1)
+    jac = np.empty((len(u), len(u)))
+    jac[:, -1] = powers @ dgdz
+    jac[:, :-1] = -s * powers[:, :-1] @ (mults[:, None] * quot).T
+    coeffs = np.append(v0, s * dgdz / np.arange(1, d + 1))
+    return v0 + s * jac[:, -1] - targets, jac, coeffs
 
 
-def _poly_from_params(xi, mult, s, t, d):
-    g = _integrate_monic_product(xi, mult, d)
-    coeffs = s * g
-    coeffs[0] += t
-    return coeffs
+def _corrector(solve, u, offset):
+    """Newton on R(u) = offset from u: (root, iterations, last Jacobian), or
+    None for the root once an iterate leaves the ordered interior or 8
+    iterations do not settle."""
+    for it in range(1, 9):
+        res, jac, _ = solve(u)
+        try:
+            step = np.linalg.solve(jac, res - offset)
+        except np.linalg.LinAlgError:
+            break
+        u = u - step
+        if not _ordered_interior(u[:-1]):
+            break
+        if np.all(np.abs(step) <= 1e-8 * (1.0 + np.abs(u))):
+            return u, it, jac
+    return None, it, None
 
 
-def _residual_vector(u, spec: CriticalValueSpec, groups, d):
-    k = len(groups)
-    xi = u[:k]
-    s, t = u[k], u[k + 1]
-    coeffs = _poly_from_params(xi, [m for _, m in groups], s, t, d)
-    res = np.empty(k + 2)
-    for i, (val, _m) in enumerate(groups):
-        res[i] = polyval(coeffs, complex(xi[i], 0.0)).real - val
-    v0, v1 = spec.endpoint_values()
-    res[k] = coeffs[0].real - v0
-    res[k + 1] = polyval(coeffs, 1.0 + 0.0j).real - v1
-    return res
-
-
-def construct_polynomial(spec: CriticalValueSpec, max_iter: int = 200) -> ConstructedPolynomial:
+def construct_polynomial(spec: CriticalValueSpec) -> ConstructedPolynomial:
     """Real polynomial with the prescribed left-to-right critical values,
     normalized so the hull of f^{-1}({0, 1}) is [0, 1].
 
-    Solved by damped Newton on (critical points, leading scale, constant),
-    seeded from Chebyshev-node critical points; the step is halved until the
-    residual drops and the critical points stay ordered inside (0, 1)."""
-    groups = spec.grouped()
+    P = f(0) + s G with G' = d prod (z - xi_j)^{m_j} and G(0) = 0, so the
+    unknowns are u = (xi, s): the distinct critical points and the scale.
+    The start u0 puts each xi_j at the centre of its group of Chebyshev
+    nodes (1 - cos(pi i / d)) / 2, and fits s by least squares.  One Newton
+    homotopy R(u) = (1 - tau) R(u0) is followed from tau = 0 to 1: an Euler
+    predictor, then Newton with the analytic Jacobian as corrector.  The
+    step in tau doubles after a corrector of at most 3 iterations and halves
+    when the corrector fails or leaves the ordered interior
+    0 < xi_1 < ... < xi_k < 1.  One more Newton step polishes the end.
+
+    NewtonDiverged names the spec when c_1 = f(0) or c_k = f(1), which puts
+    a critical point on a hull endpoint where the system is singular; when
+    the step underflows; or when the result misses a critical value or the
+    hull [0, 1] by more than 1e-8."""
     d = spec.degree
-    k = len(groups)
-    mults = [m for _, m in groups]
-
-    def seed(perturb=0.0):
-        centers = []
-        pos = 1
-        for _val, m in groups:
-            centers.append(sum((1 - math.cos(math.pi * (pos + j) / d)) / 2 for j in range(m)) / m)
-            pos += m
-        xi0 = np.array(centers)
-        if perturb:
-            rng = np.random.default_rng(int(1e6 * perturb))
-            xi0 = np.clip(xi0 + perturb * (rng.random(k) - 0.5), 0.02, 0.98)
-            xi0.sort()
-        # linear least squares for (s, t) given the seed critical points
-        g = _integrate_monic_product(xi0, mults, d)
-        rows = []
-        rhs = []
-        pts = list(xi0) + [0.0, 1.0]
-        v0, v1 = spec.endpoint_values()
-        targets = [val for val, _ in groups] + [v0, v1]
-        for p, tv in zip(pts, targets):
-            rows.append([polyval(g, complex(p, 0.0)).real, 1.0])
-            rhs.append(tv)
-        sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
-        s0 = sol[0] if abs(sol[0]) > 1e-8 else (1.0 if spec.family() < 0 else -1.0)
-        return np.concatenate([xi0, [s0, sol[1]]])
-
-    trace = []
-    u = None
-    for perturb in (0.0, 0.013, 0.047, 0.11, 0.23):
-        u = seed(perturb)
-        res = _residual_vector(u, spec, groups, d)
-        norm = float(np.linalg.norm(res))
-        ok = True
-        for _ in range(max_iter):
-            if norm <= 1e-13:
-                break
-            jac = _numeric_jacobian(lambda v: _residual_vector(v, spec, groups, d), u)
-            try:
-                step = np.linalg.solve(jac, res)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(jac, res, rcond=None)
-            lam = 1.0
-            improved = False
-            for _ in range(40):
-                cand = u - lam * step
-                if _ordered_interior(cand[:k]):
-                    cres = _residual_vector(cand, spec, groups, d)
-                    cnorm = float(np.linalg.norm(cres))
-                    if cnorm < norm:
-                        u, res, norm = cand, cres, cnorm
-                        improved = True
-                        break
-                lam *= 0.5
-            trace.append(norm)
-            if not improved:
-                ok = False
-                break
-        if ok and norm <= 1e-10:
-            break
-    else:
+    values, mults = (np.array(c) for c in zip(*spec.grouped()))
+    v0, v1 = spec.endpoint_values()
+    if values[0] == v0 or values[-1] == v1:
         raise NewtonDiverged(
-            f"inverse critical-value solve failed for {spec.values}", trace=trace
+            f"inverse critical-value solve for {spec.values}: c_1 = f(0) or c_k = f(1) "
+            "puts a critical point on a hull endpoint, which is not solved"
         )
+    targets = np.append(values, v1)
 
-    xi = u[:k]
-    s, t = u[k], u[k + 1]
-    coeffs = _poly_from_params(xi, mults, s, t, d).real
-    poly = Poly(coeffs)
-    rational = RationalMap(coeffs, [1.0], reduce=False)
-    crit_flat = np.repeat(xi, mults)
-    achieved = np.array([polyval(coeffs, complex(x, 0)).real for x in crit_flat])
+    def solve(u):
+        return _residual_jacobian(u, mults, targets, v0, d)
+
+    nodes = (1.0 - np.cos(np.pi * np.arange(1, d) / d)) / 2.0
+    u = np.append(np.add.reduceat(nodes, np.cumsum(mults) - mults) / mults, 0.0)
+    # |s| fits |G| to |clip(c, 0, 1) - f(0)|, the Chebyshev values, in least
+    # squares; G'(0) has sign (-1)^(d-1), so this sign makes P fall from
+    # f(0) = 1 (family +1) or rise from f(0) = 0
+    g_abs = np.abs(solve(u)[1][:, -1])
+    scale = g_abs @ np.abs(np.clip(targets, 0.0, 1.0) - v0) / (g_abs @ g_abs)
+    u[-1] = spec.family() * (-1) ** d * scale
+    start, jac, _ = solve(u)
+    tau, h = 0.0, 0.5
+    while tau < 1.0:
+        new_tau = min(1.0, tau + h)
+        pred = u - (new_tau - tau) * np.linalg.solve(jac, start)  # J du/dtau = -R(u0)
+        cand, iters, cand_jac = _corrector(solve, pred, (1.0 - new_tau) * start)
+        if cand is None:
+            h /= 2.0
+            if h < 1e-9:
+                raise NewtonDiverged(
+                    f"inverse critical-value solve for {spec.values}: "
+                    f"step underflow at tau = {tau!r}"
+                )
+            continue
+        u, tau, jac = cand, new_tau, cand_jac
+        if iters <= 3:
+            h *= 2.0
+    polished = _corrector(solve, u, 0.0)[0]
+    u = u if polished is None else polished
+    res, _, coeffs = solve(u)
+
+    crit_flat = np.repeat(u[:-1], mults)
+    achieved = polyval(coeffs, crit_flat).real
     hull = _preimage_hull(coeffs)
-    result = ConstructedPolynomial(
-        poly=poly,
-        rational=rational,
+    err = max(np.max(np.abs(achieved - spec.values)), abs(hull[0]), abs(hull[1] - 1.0))
+    if not err <= 1e-8:
+        raise NewtonDiverged(f"inverse critical-value solve for {spec.values} is off by {err:.1e}")
+    return ConstructedPolynomial(
+        poly=Poly(coeffs),
+        rational=RationalMap(coeffs, [1.0], reduce=False),
         critical_points=crit_flat,
         achieved_values=achieved,
         hull=hull,
         family=spec.family(),
-        increasing_at_right_endpoint=bool(
-            polyval(deriv_coeffs(coeffs), 1.0 + 0.0j).real > 0
-        ),
-        residual=float(np.linalg.norm(_residual_vector(u, spec, groups, d))),
+        increasing_at_right_endpoint=bool(polyval(deriv_coeffs(coeffs), 1.0).real > 0),
+        residual=float(np.linalg.norm(res)),
     )
-    return result
 
 
 def _ordered_interior(xi) -> bool:
-    if np.any(xi <= 1e-12) or np.any(xi >= 1.0 - 1e-12):
-        return False
-    return bool(np.all(np.diff(xi) > 1e-12))
-
-
-def _numeric_jacobian(fun, u):
-    f0 = fun(u)
-    jac = np.zeros((len(f0), len(u)))
-    for j in range(len(u)):
-        du = u.copy()
-        step = JACOBIAN_STEP * max(1.0, abs(u[j]))
-        du[j] += step
-        jac[:, j] = (fun(du) - f0) / step
-    return jac
+    """0 < xi_1 < ... < xi_k < 1, every gap above 1e-12."""
+    return bool(np.all(np.diff(np.concatenate(([0.0], xi, [1.0]))) > 1e-12))
 
 
 def _preimage_hull(coeffs):
@@ -276,7 +254,7 @@ def _preimage_hull(coeffs):
     for target in (0.0, 1.0):
         shifted = coeffs.copy()
         shifted[0] -= target
-        for r in roots_with_multiplicity(Poly(shifted)):
+        for r in _companion_roots(shifted):
             if abs(r.imag) <= 1e-7 * (1.0 + abs(r)):
                 pts.append(r.real)
     if not pts:

@@ -114,12 +114,14 @@ def test_poincare_guard_not_repelling(capsys):
 
 
 def test_construct_command(capsys):
-    code, out, _ = run_cli(["construct", "--values", "-0.5"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["hull"][0] == pytest.approx(0.0, abs=1e-8)
-    assert data["hull"][1] == pytest.approx(1.0, abs=1e-8)
-    assert data["achieved_values"][0] == pytest.approx(-0.5, abs=1e-8)
+    for values in ("-0.5", "0,1,0,1,0", "-2,0,0,3"):
+        code, out, _ = run_cli(["construct", f"--values={values}"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["hull"][0] == pytest.approx(0.0, abs=1e-8)
+        assert data["hull"][1] == pytest.approx(1.0, abs=1e-8)
+        want = [float(v) for v in values.split(",")]
+        np.testing.assert_allclose(data["achieved_values"], want, rtol=0, atol=1e-8)
 
 
 def test_construct_rejects_bad_spec(capsys):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from circledyn.classifier import dichotomy_verdict
 from circledyn.dynamics import julia_cloud
-from circledyn.errors import ParamOutOfRange, SpecViolation
+from circledyn.errors import NewtonDiverged, ParamOutOfRange, SpecViolation
 from circledyn.geometry import REAL_LINE, containment_residual
 from circledyn.realjulia import (
     CriticalValueSpec,
@@ -73,9 +74,10 @@ def test_construct_chebyshev_type_degree3():
 
 def test_construct_roundtrip_small_sample():
     rng = np.random.default_rng(42)
-    for _ in range(6):
-        d = int(rng.integers(2, 5))
-        spec = random_valid_spec(rng, d)
+    specs = [random_valid_spec(rng, int(rng.integers(2, 5))) for _ in range(6)]
+    # a degree-6 Chebyshev type, and an interior double critical point
+    specs += [CriticalValueSpec((0.0, 1.0, 0.0, 1.0, 0.0)), CriticalValueSpec((-2.0, 0.0, 0.0, 3.0))]
+    for spec in specs:
         r = construct_polynomial(spec)
         np.testing.assert_allclose(r.achieved_values, spec.values, atol=1e-8)
         assert r.hull[0] == pytest.approx(0.0, abs=1e-8)
@@ -83,16 +85,59 @@ def test_construct_roundtrip_small_sample():
         _assert_endpoint_dynamics(r)
 
 
-def _assert_endpoint_dynamics(result):
+@pytest.mark.parametrize("all_boundary", [False, True])
+@pytest.mark.parametrize("k", range(12))
+@pytest.mark.parametrize("d", range(2, 11))
+def test_construct_roundtrip_through_degree_10(d, k, all_boundary):
+    spec = random_valid_spec(np.random.default_rng(k), d, all_boundary=all_boundary)
+    r = construct_polynomial(spec)
+    # critical values recomputed from the coefficients, not the solver's own
+    coeffs = r.poly.coeffs.real
+    crit = np.sort(npoly.polyroots(npoly.polyder(coeffs)).real)
+    np.testing.assert_allclose(npoly.polyval(crit, coeffs), spec.values, rtol=0, atol=1e-8)
+    assert r.hull[0] == pytest.approx(0.0, abs=1e-8)
+    assert r.hull[1] == pytest.approx(1.0, abs=1e-8)
+    # at degree 10 the coefficients reach 3e6, so merely rounding them moves
+    # f(1) by about 1e-9
+    _assert_endpoint_dynamics(r, digits=8)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (0.0, 0.0),
+        (1.0, 0.0, 0.0),
+        (0.0, 0.0, 1.0, 0.0, 0.0),
+        (0.0, 0.0, 1.0),
+        (0.0, -1.0),
+        (0.0, -1.0, 0.0),
+    ],
+)
+def test_construct_critical_point_on_hull_endpoint_is_exact_or_raises(values):
+    # c_1 = f(0) or c_k = f(1) puts a critical point (double in the first
+    # four) on 0 or 1, where the system is singular: the result is exact or
+    # the solve says so
+    spec = CriticalValueSpec(values)
+    try:
+        r = construct_polynomial(spec)
+    except NewtonDiverged as exc:
+        assert str(spec.values) in str(exc)
+        return
+    np.testing.assert_allclose(r.achieved_values, spec.values, rtol=0, atol=1e-8)
+    assert r.hull[0] == pytest.approx(0.0, abs=1e-8)
+    assert r.hull[1] == pytest.approx(1.0, abs=1e-8)
+
+
+def _assert_endpoint_dynamics(result, digits=9):
     f = result.rational
     d = result.poly.degree
     v0 = f(0.0).value.real
     v1 = f(1.0).value.real
     if d % 2 == 0:
-        assert v0 == pytest.approx(v1, abs=1e-9)
-        assert min(abs(v0), abs(v0 - 1.0)) < 1e-9
+        assert v0 == pytest.approx(v1, abs=10.0**-digits)
+        assert min(abs(v0), abs(v0 - 1.0)) < 10.0**-digits
     else:
-        orbit = {round(v0, 9), round(v1, 9)}
+        orbit = {round(v0, digits), round(v1, digits)}
         assert orbit <= {0.0, 1.0}
 
 
