@@ -422,7 +422,7 @@ def dichotomy_verdict(
     the circle-case analysis or exceptional recognition."""
     try:
         rmt = real_multiplier_test(f, n_max, tol)
-    except RootFindingFailed as exc:
+    except (RootFindingFailed, DegreeCapExceeded) as exc:
         return ClassificationReport(
             verdict="INCONCLUSIVE",
             degree=f.degree,

@@ -137,7 +137,7 @@ def _preimage_values(f: RationalMap, z) -> list:
     if deg == 1:
         roots = [complex(-c[0] / c[1])]
     elif deg == 2:
-        roots = _quadratic_roots(c[2], c[1], c[0]).tolist()
+        roots = [complex(r) for r in _quadratic_rows(c[2], c[1], c[0])]
     elif deg >= 3:
         roots = _companion_roots(c[: deg + 1])
     else:
@@ -148,18 +148,6 @@ def _preimage_values(f: RationalMap, z) -> list:
     if len(out) != d:
         raise PreimageSolveFailed(f"expected {d} preimages, found {len(out)}")
     return out
-
-
-def _quadratic_roots(a, b, c):
-    """Stable quadratic roots of a z^2 + b z + c."""
-    disc = np.sqrt(b * b - 4.0 * a * c + 0.0j)
-    if abs(b - disc) > abs(b + disc):
-        q = -0.5 * (b - disc)
-    else:
-        q = -0.5 * (b + disc)
-    r1 = q / a
-    r2 = c / q if q != 0 else 0.0 + 0.0j
-    return np.array([r1, r2], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -408,33 +396,21 @@ def _solve_period(f: RationalMap, n: int) -> list:
         # no repelling cycle of period 1 or 2 to sample backward from (as
         # while period 2 itself is being solved): seed from a ring
         seed_cloud = np.zeros(0, dtype=complex)
-    z0 = _spread_initial(seed_cloud, m)
-    # A jittered restart, for an unlucky start that leaves a point short of
-    # convergence; no test, sweep or benchmark input needs one.
-    for attempt in range(3):
-        try:
-            z = _aberth_functional(f, n, z0, known, weights)
-            F, lam, _ = _orbit_data(f, z, n)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                quality = np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
-            ok = np.isfinite(quality) & (quality < 1e-7 * np.maximum(1.0, np.abs(z)))
-            if not np.all(ok):
-                raise RootFindingFailed(
-                    f"period-{n} solve found {expected - m + int(np.sum(ok))} "
-                    f"of {expected} expected solutions"
-                )
-            # only where (f^n)' = 1 can a root be multiple: merge its copies
-            near = np.abs(lam - 1.0) <= 1e-2
-            centers, _ = cluster_roots(z[near], DUPLICATE_CLUSTER)
-            new = np.concatenate([z[~near], centers, tail])
-            return _close_orbits(f, n, new, pool, known_total)
-        except RootFindingFailed as exc:
-            failure = exc
-        rng = np.random.default_rng(777 + attempt)
-        z0 = z0 * (1.0 + 0.02 * (rng.random(len(z0)) - 0.5)) + 0.01 * (
-            rng.random(len(z0)) - 0.5
+    z = _aberth_functional(f, n, _spread_initial(seed_cloud, m), known, weights)
+    F, lam, _ = _orbit_data(f, z, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quality = np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
+    ok = np.isfinite(quality) & (quality < 1e-7 * np.maximum(1.0, np.abs(z)))
+    if not np.all(ok):
+        raise RootFindingFailed(
+            f"period-{n} solve found {expected - m + int(np.sum(ok))} "
+            f"of {expected} expected solutions"
         )
-    raise failure
+    # only where (f^n)' = 1 can a root be multiple: merge its copies
+    near = np.abs(lam - 1.0) <= 1e-2
+    centers, _ = cluster_roots(z[near], DUPLICATE_CLUSTER)
+    new = np.concatenate([z[~near], centers, tail])
+    return _close_orbits(f, n, new, pool, known_total)
 
 
 def _close_orbits(f, n, new, pool, known_total):
@@ -494,14 +470,9 @@ def _spread_initial(cloud: np.ndarray, m: int) -> np.ndarray:
     pts = pts[np.isfinite(pts)]
     if pts.size == 0:
         pts = np.exp(2j * np.pi * np.arange(max(m, 8)) / max(m, 8)) * 2.0
-    order = np.lexsort((pts.imag, pts.real))
-    pts = pts[order]
-    if len(pts) >= m:
-        idx = np.linspace(0, len(pts) - 1, m).astype(int)
-        base = pts[idx]
-    else:
-        extra = 2.5 * np.exp(2j * np.pi * np.arange(m - len(pts)) / max(m - len(pts), 1))
-        base = np.concatenate([pts, extra])
+    pts = pts[np.lexsort((pts.imag, pts.real))]
+    # with fewer points than m, points repeat; the jitter separates them
+    base = pts[np.linspace(0, len(pts) - 1, m).astype(int)]
     rng = np.random.default_rng(4242)
     scale = max(1.0, float(np.median(np.abs(base))))
     jitter = 1e-3 * scale * np.exp(2j * np.pi * rng.random(m))
@@ -587,6 +558,11 @@ def _point_json(p: SpherePoint):
 
 @dataclass
 class MaxEntropySample:
+    """The points of a batched backward walk (`backward_sample`), its burn-in
+    (steps per chain), the requested count and the seed.  The seeded stream
+    is the batched walk's, so a seed gives other points than the
+    single-chain walk of earlier versions did."""
+
     points: list
     burn_in: int
     count: int
@@ -609,30 +585,15 @@ def _start_candidates(f: RationalMap):
     raise PreimageSolveFailed("no repelling low-period starting point found")
 
 
-def _is_exceptional(f: RationalMap, p: SpherePoint) -> bool:
-    pre = preimage_points(f, p)
-    return all(chordal_distance(q, p) < 1e-9 for q in pre)
-
-
 def backward_sample(f: RationalMap, size: int, seed: int) -> MaxEntropySample:
-    """One random backward orbit; iterates after burn-in approximate the
-    measure of maximal entropy."""
+    """`size` points of the batched backward walk `_sampler_points` (at most
+    64 chains, uniform preimage choice), which approximate the measure of
+    maximal entropy.  The burn-in of BURN_IN steps counts per chain.  The
+    seeded stream is that of the batched walk, so a seed gives other points
+    than the single-chain walk of earlier versions did."""
     if f.degree < 2:
         raise ValueError("backward sampling requires degree >= 2")
-    rng = np.random.default_rng(seed)
-    for start in _start_candidates(f):
-        if not _is_exceptional(f, start):
-            break
-    else:
-        raise PreimageSolveFailed("all starting points are exceptional")
-    # one draw of all picks is the stream of one draw per step
-    picks = rng.integers(0, f.degree, size=BURN_IN + size).tolist()
-    z = None if start.infinite else start.value
-    pts = []
-    for k, pick in enumerate(picks):
-        z = _preimage_values(f, z)[pick]
-        if k >= BURN_IN:
-            pts.append(SpherePoint.of(z))
+    pts = _sphere_points(_sampler_points(f, size, seed))
     return MaxEntropySample(points=pts, burn_in=BURN_IN, count=size, seed=seed)
 
 
@@ -818,31 +779,22 @@ def _sampler_points(f: RationalMap, size: int, seed: int, cloud: bool = False) -
 
     A cloud of a degree-3 or degree-4 map walks CLOSED_FORM_ROWS chains, so
     that every step takes the closed-form roots of `_monic_roots`.  Other
-    walks, the period seeds among them, run at most 64 chains, which take
-    the companion eigensolve (or the quadratic formula at degree 2)."""
+    walks, the period seeds and `backward_sample` among them, run at most
+    64 chains, which take the companion eigensolve (or the quadratic
+    formula at degree 2)."""
     starts = _start_candidates(f)
     if cloud and f.degree in (3, 4):
         chains = CLOSED_FORM_ROWS
     else:
         chains = int(min(64, max(8, size // 32 + 1)))
     rng = np.random.default_rng(seed)
-    z0 = np.array(
-        [
-            complex(math.inf, 0.0) if starts[k % len(starts)].infinite
-            else starts[k % len(starts)].value
-            for k in range(chains)
-        ],
-        dtype=complex,
-    )
-    steps = BURN_IN + int(np.ceil(size / chains))
-    out = []
-    z = z0
-    for k in range(steps):
+    z = np.resize(sphere_array(starts), chains)
+    out = np.empty((int(np.ceil(size / chains)), chains), dtype=complex)
+    for k in range(BURN_IN + len(out)):
         z = _batched_backward_step(f, z, rng)
         if k >= BURN_IN:
-            out.append(z.copy())
-    flat = np.concatenate(out) if out else np.zeros(0, dtype=complex)
-    return flat[:size]
+            out[k - BURN_IN] = z
+    return out.reshape(-1)[:size]
 
 
 def julia_cloud(f: RationalMap, size: int, seed: int):
@@ -871,12 +823,15 @@ def julia_cloud(f: RationalMap, size: int, seed: int):
         rounds += 1
     z = np.concatenate(kept)
     finite = np.isfinite(z)
-    re = np.where(finite, z.real, math.inf)
-    im = np.where(finite, z.imag, 0.0)
-    order = np.lexsort((im, re))
+    order = np.lexsort((np.where(finite, z.imag, 0.0), np.where(finite, z.real, math.inf)))
+    return _sphere_points(z[order])
+
+
+def _sphere_points(z) -> list:
+    """A sphere array as SpherePoints, in order."""
     return [
         SpherePoint(x, y) if is_finite else INF
-        for x, y, is_finite in zip(re[order].tolist(), im[order].tolist(), finite[order].tolist())
+        for x, y, is_finite in zip(z.real.tolist(), z.imag.tolist(), np.isfinite(z).tolist())
     ]
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circledyn import Moebius, classifier, conjugate, parse_map
+from circledyn import Moebius, classifier, conjugate, dynamics, parse_map
 from circledyn.classifier import (
     circle_case_classify,
     critical_escape_times,
@@ -375,6 +375,15 @@ def test_circle_case_failure_is_inconclusive(monkeypatch):
     assert rep.inconclusive_reason == "circle case: could not pick three separated circle points"
     assert rep.real_multiplier["passed"]
     assert rep.real_multiplier["table"]
+
+
+def test_period_degree_cap_ends_inconclusive(monkeypatch):
+    # period 4 of a quadratic needs degree 2^4 + 1 = 17
+    monkeypatch.setattr(dynamics, "PERIOD_DEGREE_CAP", 9)
+    rep = dichotomy_verdict(parse_map("z^2-2"), n_max=4)
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.exit_code == 3
+    assert rep.inconclusive_reason == "real-multiplier test: period 4 needs degree 17 > cap 9"
 
 
 def test_degree_cap_in_circle_case_is_not_inconclusive(monkeypatch):
