@@ -5,7 +5,12 @@ interval), with exceptional-map recognition and critical-escape bookkeeping.
 Conventions: the interval I lives in normalized coordinates where the
 invariant circle is the extended real line and the distinguished fixed point
 x0 sits at infinity; its right endpoint may legitimately be infinite when
-the Julia set accumulates at a parabolic point there.
+the Julia set accumulates at a parabolic point there.  The normalizer is
+built from the solved repelling period-1 and period-2 points: it is the
+identity when they are all real (then shifted by x -> -1/(x - x0) for a
+finite x0), and otherwise the cross-ratio map of three of them, whose
+coordinates the report then uses.  The endpoints of I are solved periodic
+points or preimages of solved fixed points, read in those coordinates.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .algebra import (
     sphere_array,
 )
 from .dynamics import (
+    _multiplicity,
     julia_cloud,
     periodic_points,
     preimage_points,
@@ -61,8 +67,6 @@ PARABOLIC_BAND = 1e-9
 ESCAPE_CAP = 200
 # periods searched for a non-repelling cycle on an invariant circle
 GAP_CYCLE_PERIODS = 3
-NEWTON_REAL_TOL = 1e-13
-NEWTON_REAL_STEPS = 80
 
 LATTES_SIGNATURES = {(2, 2, 2, 2), (2, 4, 4), (3, 3, 3), (2, 3, 6)}
 
@@ -343,7 +347,6 @@ class ClassificationReport:
     residuals: dict = field(default_factory=dict)
     # non-serialized working data for follow-up computations
     normalized_map: RationalMap = None
-    normalized_cloud: np.ndarray = None
 
     @property
     def exit_code(self) -> int:
@@ -493,11 +496,14 @@ def circle_case_classify(
 ) -> ClassificationReport:
     """Circle-case analysis for a map whose Julia set lies on the circle.
     Case I (no critical point on the circle, or the circle completely
-    invariant) is decided exactly on the map g normalized to the real line."""
+    invariant) is decided exactly on the map g normalized to the real line
+    through the repelling period-1 and period-2 points; the interval I of
+    cases II and III runs between solved periodic points or their preimages."""
     if cloud is None:
         cloud = julia_cloud(f, cloud_size, seed)
     residual = containment_residual(circle, cloud)
-    inv = invariance_check(f, circle)
+    anchors = _repelling_anchor_points(f)
+    inv = invariance_check(f, circle, anchors)
 
     report = ClassificationReport(
         verdict="INCONCLUSIVE",
@@ -509,14 +515,13 @@ def circle_case_classify(
     report.residuals["forward_invariance"] = inv["forward_residual"]
     report.residuals["complete_invariance"] = inv["preimage_residual"]
 
-    m1 = normalize_to_real_line(circle)
+    m1 = normalize_to_real_line(circle, anchors)
     g = _realified(conjugate(f, m1))
 
     if not real_critical_points(g) or inv["completely_invariant"]:
         report.verdict = "CIRCLE_CASE_I"
         report.normalizer = m1
         report.normalized_map = g
-        report.normalized_cloud = _normalized_cloud(m1, cloud)
         report.julia_is_circle = _julia_fills_circle(f, circle)
         report.residuals["circle_gap_statistic"] = _max_circle_gap(
             _own_circle_angles(circle, cloud)
@@ -525,39 +530,32 @@ def circle_case_classify(
         return report
 
     # locate x0: a real fixed point with multiplier in [-1, 1]
-    x0_g, lam = _select_x0(g)
-    if x0_g is None:
+    x0 = _select_x0(f, m1, g)
+    if x0 is None:
         report.verdict = "INCONCLUSIVE"
         report.inconclusive_reason = "no real fixed point with multiplier in [-1, 1]"
         return report
+    x0_orbit, lam, x0_g = x0
 
     m_total = m1
     if not x0_g.infinite:
-        shift = Moebius(0.0, -1.0, 1.0, -x0_g.value)  # x -> -1/(x - x0)
+        shift = Moebius(0.0, -1.0, 1.0, -x0_g.re)  # x -> -1/(x - x0)
         m_total = shift.compose(m1)
         g = _realified(conjugate(f, m_total))
     report.normalizer = m_total
-    report.x0 = m_total.inverse()(INF)
+    report.x0 = x0_orbit.points[0]
     report.lambda_x0 = float(lam.real)
-
-    xs = _normalized_cloud(m_total, cloud)
     report.normalized_map = g
-    report.normalized_cloud = xs
-    a, b = _interval_hull(xs)
-    a, b, endpoint_residual = _resolve_endpoints(g, a, b, xs)
+
+    a, b = _interval_endpoints(f, m_total, x0_orbit)
     report.interval_I = (a, b)
-    report.residuals["endpoint_invariance"] = endpoint_residual
+    report.residuals["endpoint_invariance"] = _endpoint_invariance_residual(g, a, b)
 
     contained, margin = _image_in_interval(g, a, b)
     report.residuals["interval_image_margin"] = margin
     report.verdict = "CIRCLE_CASE_II" if contained else "CIRCLE_CASE_III"
     report.escape_times = critical_escape_times(f, report, ESCAPE_CAP)
     return report
-
-
-def _normalized_cloud(m: Moebius, cloud) -> np.ndarray:
-    """The cloud's coordinates on the normalized real line, infinity as inf."""
-    return np.asarray([math.inf if q.infinite else q.re for q in map(m, cloud)], dtype=float)
 
 
 def _own_circle_angles(circle: GeneralizedCircle, cloud) -> np.ndarray:
@@ -615,67 +613,55 @@ def _julia_fills_circle(f: RationalMap, circle: GeneralizedCircle) -> bool:
     return True
 
 
-def _select_x0(g: RationalMap):
-    """A real fixed point of the real map g, infinity included, with its
-    multiplier in [-1, 1]; (None, None) when there is none."""
+def _select_x0(f: RationalMap, m1: Moebius, g: RationalMap):
+    """A fixed point of f on the circle (real or infinite under m1) with its
+    multiplier in [-1, 1], as (orbit, multiplier, image under m1); None when
+    there is none.  A multiple fixed point is parabolic, with multiplier 1."""
     candidates = []
-    for orbit in periodic_points(g, 1):
-        p, lam = orbit.points[0], orbit.multiplier
-        if not p.infinite:
-            if not is_real(p.value):
-                continue
-            p = SpherePoint.of(p.re)
+    for orbit in periodic_points(f, 1):
+        p = m1(orbit.points[0])
+        if not (p.infinite or is_real(p.value)):
+            continue
+        lam = 1.0 + 0.0j if _multiplicity(f, orbit, 1) > 1 else orbit.multiplier
         if abs(lam.imag) <= 1e-6 and abs(lam.real) <= 1.0 + PARABOLIC_BAND:
-            candidates.append((p, lam))
+            candidates.append((orbit, lam, p))
     if not candidates:
-        return None, None
-    if len(candidates) == 1:
-        return candidates[0]
-    # several admissible fixed points: follow the orbit of an off-line point
-    z = SpherePoint.of(0.61 + 1.1j)
-    for _ in range(400):
-        z = g(z)
-        for p, lam in candidates:
-            if chordal_distance(z, p) <= 1e-6:
-                return p, lam
-    # fall back to the most attracting candidate
-    candidates.sort(key=lambda t: (abs(t[1]), t[0].sort_key()))
+        return None
+    if len(candidates) > 1:
+        # several admissible fixed points: follow the orbit of an off-line point
+        z = SpherePoint.of(0.61 + 1.1j)
+        for _ in range(400):
+            z = g(z)
+            for orbit, lam, p in candidates:
+                if chordal_distance(z, p) <= 1e-6:
+                    return orbit, lam, p
+        # fall back to the most attracting candidate
+        candidates.sort(key=lambda t: (abs(t[1]), t[2].sort_key()))
     return candidates[0]
 
 
-def _interval_hull(xs: np.ndarray):
-    finite = xs[np.isfinite(xs)]
-    if finite.size == 0:
-        raise DegenerateCloud("no finite normalized cloud points")
-    return float(np.min(finite)), float(np.max(finite))
+def _interval_endpoints(f: RationalMap, m: Moebius, x0_orbit):
+    """The endpoints of I in the coordinates of m, which sends x0 to infinity.
 
-
-def _resolve_endpoints(g: RationalMap, a: float, b: float, xs: np.ndarray):
-    """Polish the rough hull onto an invariant endpoint pair {a, b}.
-
-    Both a finite interval and one with its right endpoint at the
-    distinguished fixed point at infinity are tried; a hypothesis is accepted
-    when {g(a), g(b)} lands back in {a, b} and the cloud stays inside."""
-    finite = xs[np.isfinite(xs)]
-    span = max(1.0, b - a)
-    candidates = []
-    fa, fb = _polish_endpoints(g, a, b)
-    candidates.append((fa, fb))
-    a_inf = _polish_left_endpoint_with_infinite_partner(g, a, span)
-    candidates.append((a_inf, math.inf))
-    best = None
-    for ca, cb in candidates:
-        res = _endpoint_invariance_residual(g, ca, cb)
-        contained = bool(
-            np.all(finite >= ca - 1e-6 * span)
-            and (math.isinf(cb) or np.all(finite <= cb + 1e-6 * span))
-        )
-        ok = contained and res <= 1e-9 * max(1.0, abs(ca), 0.0 if math.isinf(cb) else abs(cb))
-        if ok:
-            return ca, cb, res
-        if best is None or res < best[2]:
-            best = (ca, cb, res)
-    return best
+    {a, b} is forward-invariant and lies in the Julia set, so each endpoint
+    is a non-attracting fixed point, a point of a non-attracting 2-cycle or
+    a preimage of a non-attracting fixed point: a is the least of those
+    real under m, x0 left out, and b the greatest, or infinity when x0 is
+    not attracting itself."""
+    fixed = [o for o in periodic_points(f, 1) if o.stability != "attracting"]
+    points = [o.points[0] for o in fixed if o.points[0] != x0_orbit.points[0]]
+    points += [p for o in periodic_points(f, 2) if o.stability != "attracting" for p in o.points]
+    for o in fixed:
+        pre = preimage_points(f, o.points[0])
+        # the fixed point is one of its own preimages
+        del pre[int(np.argmin([chordal_distance(q, o.points[0]) for q in pre]))]
+        points += pre
+    xs = [q.re for q in map(m, points) if not q.infinite and is_real(q.value)]
+    if not xs:
+        raise DegenerateCloud("no real periodic endpoint candidates")
+    if x0_orbit.stability != "attracting":
+        return min(xs), math.inf
+    return min(xs), max(xs)
 
 
 def _endpoint_invariance_residual(g: RationalMap, a: float, b: float) -> float:
@@ -685,102 +671,11 @@ def _endpoint_invariance_residual(g: RationalMap, a: float, b: float) -> float:
     return max(min(chordal_distance(v, q) for q in ends) for v in images)
 
 
-def _polish_left_endpoint_with_infinite_partner(
-    g: RationalMap, a: float, span: float
-) -> float:
-    """With the right endpoint at infinity, the left endpoint maps to itself
-    or to infinity (then it is a pole)."""
-    den = g.den
-    fa = _real_eval(g, a)
-    if math.isfinite(fa) and abs(fa - a) <= max(0.05 * span, 1e-9 * (1.0 + abs(a))):
-        return _newton_real(*_fixed_point_equation(g), a)
-    if den.degree >= 1:
-        return _newton_real(
-            lambda x: den(x).real, lambda x: den.deriv()(x).real, a
-        )
-    return a
-
-
-def _fixed_point_equation(g: RationalMap):
-    """Re(num(x) - x den(x)), whose real zeros are g's finite fixed points,
-    and its derivative."""
-    num, den = g.num, g.den
-    dnum, dden = num.deriv(), den.deriv()
-    return (
-        lambda x: (num(x) - x * den(x)).real,
-        lambda x: (dnum(x) - den(x) - x * dden(x)).real,
-    )
-
-
-def _newton_real(fun, dfun, x0):
-    x = float(x0)
-    for _ in range(NEWTON_REAL_STEPS):
-        v = fun(x)
-        d = dfun(x)
-        if not math.isfinite(v) or not math.isfinite(d) or d == 0:
-            return x0
-        step = v / d
-        x -= step
-        if abs(step) <= NEWTON_REAL_TOL * (1.0 + abs(x)):
-            break
-    return x
-
-
 def _real_eval(g: RationalMap, x: float) -> float:
     p = g(SpherePoint.of(x))
     if p.infinite:
         return math.inf
     return p.value.real
-
-
-def _polish_endpoints(g: RationalMap, a: float, b: float):
-    """Push the rough hull endpoints onto the invariant pair {a, b}.
-
-    Fixed endpoints are polished first; an endpoint mapping onto its partner
-    is then solved against the partner's polished value, so the pair closes
-    to full precision."""
-    num, den = g.num, g.den
-    fixed_eq = _fixed_point_equation(g)
-
-    def polish_fixed(x):
-        return _newton_real(*fixed_eq, x)
-
-    def polish_preimage_of(x, target):
-        return _newton_real(
-            lambda t: (num(t) - target * den(t)).real,
-            lambda t: (num.deriv()(t) - target * den.deriv()(t)).real,
-            x,
-        )
-
-    scale = max(1.0, abs(a), abs(b))
-    tol_match = max(0.05 * (b - a), 1e-9 * scale)
-    fa, fb = _real_eval(g, a), _real_eval(g, b)
-
-    def close(u, v):
-        return math.isfinite(u) and abs(u - v) <= tol_match
-
-    a_fixed, b_fixed = close(fa, a), close(fb, b)
-    if not a_fixed and not b_fixed and close(fa, b) and close(fb, a):
-        # genuine two-cycle: polish on the second iterate
-        def cyc_eq(x):
-            return _real_eval(g, _real_eval(g, x)) - x
-
-        def cyc_deq(x):
-            h = 1e-7 * scale
-            return (cyc_eq(x + h) - cyc_eq(x - h)) / (2 * h)
-
-        a2 = _newton_real(cyc_eq, cyc_deq, a)
-        b2 = _real_eval(g, a2)
-        return (a2, b2) if a2 < b2 else (b2, a2)
-    if a_fixed:
-        a = polish_fixed(a)
-    if b_fixed:
-        b = polish_fixed(b)
-    if not a_fixed and close(fa, b):
-        a = polish_preimage_of(a, b)
-    if not b_fixed and close(fb, a):
-        b = polish_preimage_of(b, a)
-    return a, b
 
 
 def _image_in_interval(g: RationalMap, a: float, b: float):

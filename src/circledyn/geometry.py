@@ -216,15 +216,16 @@ def _well_separated_triple(pts):
     return first, second, third
 
 
-def invariance_check(f: RationalMap, circle: GeneralizedCircle) -> dict:
+def invariance_check(f: RationalMap, circle: GeneralizedCircle, points=None) -> dict:
     """Complete invariance of the circle under f, decided by the signed degree
-    of the normalized map on the real line.  The residuals of mapped circle
-    samples and of the preimages of circle samples are evidence only."""
+    of f normalized to the real line through `points` on the circle (see
+    `normalize_to_real_line`).  The residuals of mapped circle samples and of
+    the preimages of circle samples are evidence only."""
     images = [f(p) for p in circle.sample_points(FORWARD_SAMPLES)]
     fwd_res = float(np.max(residuals(circle, sphere_array(images))))
     pre = [q for p in circle.sample_points(PREIMAGE_SAMPLES) for q in preimage_points(f, p)]
     pre_res = float(np.max(residuals(circle, sphere_array(pre))))
-    degree = real_line_degree(conjugate(f, normalize_to_real_line(circle)))
+    degree = real_line_degree(conjugate(f, normalize_to_real_line(circle, points)))
     return {
         "forward_residual": fwd_res,
         "preimage_residual": pre_res,
@@ -278,23 +279,23 @@ def real_line_degree(g: RationalMap) -> int:
     return degree
 
 
-def normalize_to_real_line(circle: GeneralizedCircle) -> Moebius:
-    """A Moebius map sending the circle onto the extended real line.
+def normalize_to_real_line(circle: GeneralizedCircle, points=None) -> Moebius:
+    """A Moebius map sending the circle onto the extended real line, built
+    from `points` on it (by default, seven samples of the circle).
 
-    The real line itself gets the identity (so interval data stays in the
-    natural coordinates); other circles go through the cross-ratio map
-    sending three circle points to 0, 1, infinity."""
-    norm = circle.normalized()
-    if norm.is_line and abs(norm.B.real) <= 1e-12 and abs(norm.C) <= 1e-12:
-        return Moebius.identity()
-    pts = circle.sample_points(7)
+    The points must hold a well-separated triple.  When every point is real
+    or infinite, the circle is the real line and the map is the identity, so
+    interval data stays in the natural coordinates.  Otherwise it is the
+    cross-ratio map sending the triple to 0, 1 and infinity; it must send
+    every point to the real line within 1e-9."""
+    pts = [SpherePoint.of(p) for p in (circle.sample_points(7) if points is None else points)]
     triple = _well_separated_triple(pts)
     if triple is None:
         raise DegeneratePoints("could not pick three separated circle points")
-    p1, p2, p3 = triple
-    m = _moebius_to_0_1_inf(p1, p2, p3)
-    line = GeneralizedCircle(0.0, complex(0.0, 1.0), 0.0)
-    worst = float(np.max(residuals(line, sphere_array([m(p) for p in circle.sample_points(20)]))))
+    if all(p.infinite or is_real(p.value) for p in pts):
+        return Moebius.identity()
+    m = _moebius_to_0_1_inf(*triple)
+    worst = float(np.max(residuals(REAL_LINE, sphere_array([m(p) for p in pts]))))
     if worst > 1e-9:
         raise DegeneratePoints(f"normalization residual {worst:.2e}")
     return m

@@ -2,8 +2,9 @@
 
 The roots of an explicit polynomial are the eigenvalues of its companion
 matrix (the method of ``np.roots``, backward stable: Edelman & Murakami,
-Math. Comp. 1995).  Each root then takes three Newton steps, and
-near-coincident roots are clustered into multiplicity estimates.
+Math. Comp. 1995).  Each root then takes three Newton steps, each kept
+only where it lowers |P|, and near-coincident roots are clustered into
+multiplicity estimates.
 """
 
 from __future__ import annotations
@@ -53,13 +54,17 @@ def all_roots(p, tol: float = 1e-12) -> RootSet:
     except np.linalg.LinAlgError as exc:
         raise RootFindingFailed(f"companion eigensolve failed: {exc}") from exc
 
-    # exact roots at the origin stay exact: P(0) = 0 there
+    # a step is kept only where it lowers |P|, so exact roots (at the
+    # origin, say) stay exact
     dc = deriv_coeffs(c)
-    for _ in range(3):
+    with np.errstate(all="ignore"):
         pv = polyval(c, z)
-        dv = polyval(dc, z)
-        ok = np.abs(dv) > 1e-300
-        z = np.where(ok, z - np.where(ok, pv / np.where(ok, dv, 1.0), 0.0), z)
+        for _ in range(3):
+            step = z - pv / polyval(dc, z)
+            step_pv = polyval(c, step)
+            better = np.abs(step_pv) < np.abs(pv)
+            z = np.where(better, step, z)
+            pv = np.where(better, step_pv, pv)
 
     centers, mult = cluster_roots(z, CLUSTER_RADIUS)
     residuals = np.abs(polyval(p.coeffs, centers))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circledyn import Moebius, classifier, conjugate, dynamics, parse_map
+from circledyn import Moebius, RationalMap, classifier, conjugate, dynamics, parse_map
 from circledyn.classifier import (
     circle_case_classify,
     critical_escape_times,
@@ -15,6 +15,7 @@ from circledyn.classifier import (
 from circledyn.dynamics import preimage_points
 from circledyn.errors import DegeneratePoints, DegreeCapExceeded
 from circledyn.geometry import REAL_LINE, UNIT_CIRCLE, real_line_degree
+from circledyn.realjulia import construct_polynomial, random_valid_spec
 
 
 def test_postcritical_squaring():
@@ -365,7 +366,7 @@ def test_swap_components_is_the_sign_of_the_degree():
 
 
 def test_circle_case_failure_is_inconclusive(monkeypatch):
-    def broken(circle):
+    def broken(circle, points=None):
         raise DegeneratePoints("could not pick three separated circle points")
 
     monkeypatch.setattr(classifier, "normalize_to_real_line", broken)
@@ -387,9 +388,50 @@ def test_period_degree_cap_ends_inconclusive(monkeypatch):
 
 
 def test_degree_cap_in_circle_case_is_not_inconclusive(monkeypatch):
-    def capped(circle):
+    def capped(circle, points=None):
         raise DegreeCapExceeded("composition degree exceeds cap")
 
     monkeypatch.setattr(classifier, "normalize_to_real_line", capped)
     with pytest.raises(DegreeCapExceeded):
         dichotomy_verdict(parse_map("z^2-2"), n_max=2)
+
+
+# ---------------------------------------------------------------------------
+# real polynomials of high degree: the normalizer and the interval endpoints
+# come from solved periodic points, so the real line keeps its coordinates
+
+
+def _chebyshev_map(d):
+    """(1 + T_d(2x - 1)) / 2, whose Julia set is [0, 1]."""
+    t = np.polynomial.Chebyshev.basis(d, domain=[0, 1])
+    coeffs = t.convert(kind=np.polynomial.Polynomial).coef / 2.0
+    coeffs[0] += 0.5
+    return RationalMap(coeffs, [1.0], reduce=False)
+
+
+def _spec_map(k, d, all_boundary=False):
+    spec = random_valid_spec(np.random.default_rng(k), d, all_boundary=all_boundary)
+    return construct_polynomial(spec).rational
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        pytest.param(lambda d=d: _chebyshev_map(d), "CIRCLE_CASE_II", id=f"chebyshev-{d}")
+        for d in range(2, 11)
+    ]
+    + [
+        pytest.param(lambda: _spec_map(6, 6), "CIRCLE_CASE_III", id="spec-d6-k6"),
+        pytest.param(lambda: _spec_map(2, 7), "CIRCLE_CASE_III", id="spec-d7-k2"),
+        pytest.param(lambda: _spec_map(0, 8, True), "CIRCLE_CASE_II", id="boundary-d8-k0"),
+        pytest.param(lambda: _spec_map(1, 8, True), "CIRCLE_CASE_II", id="boundary-d8-k1"),
+        pytest.param(lambda: _spec_map(2, 9), "CIRCLE_CASE_III", id="spec-d9-k2"),
+    ],
+)
+def test_real_polynomial_circle_case(build, want):
+    rep = dichotomy_verdict(build(), n_max=2)
+    assert rep.verdict == want, rep.inconclusive_reason
+    assert rep.x0.infinite
+    if want == "CIRCLE_CASE_II":
+        a, b = rep.interval_I
+        assert abs(a) <= 1e-10 and abs(b - 1.0) <= 1e-10

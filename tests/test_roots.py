@@ -83,3 +83,11 @@ def test_failed_eigensolve_is_a_root_finding_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
     with pytest.raises(RootFindingFailed, match="companion eigensolve failed"):
         all_roots(Poly([-1.0, 0.0, 1.0]))
+
+
+def test_newton_steps_never_worsen_the_eigensolve():
+    # (z - 1)^40 perturbed by 1e-9: the companion eigenvalues meet the
+    # residual bound, and an unguarded Newton step from them would not
+    c = np.polynomial.polynomial.polyfromroots([1.0] * 40)
+    c[0] += 1e-9
+    assert all_roots(Poly(c)).converged
