@@ -2,11 +2,11 @@
 
 Period-n points solve f^n(z) = z.  Expanding the iterate's coefficients is
 numerically hopeless beyond a few iterations (the coefficients grow
-exponentially while the roots stay on a bounded Julia set), so the
-simultaneous root iteration below evaluates the iterate functionally:
-P'/P is assembled from the chain-rule derivative of f^n and the
-log-derivative of the accumulated denominator, which stays well conditioned
-near the roots.
+exponentially while the roots stay on a bounded Julia set), so the Aberth
+iteration below evaluates the iterate functionally: P'/P comes from the
+chain-rule derivative of f^n and the log-derivative of the accumulated
+denominator.  It starts from the n-th preimages of one repelling point,
+which are equidistributed as the period-n points are.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .algebra import (
     chart_split,
     chordal_distance,
     chordal_distances,
+    critical_points,
     _modulus,
     _substitute,
     cluster_roots,
@@ -366,8 +367,9 @@ def _solve_period(f: RationalMap, n: int) -> list:
 
     The solutions of f^n(z) = z whose period properly divides n are known
     from the smaller solves; they enter the Aberth sum as fixed roots with
-    their multiplicities, so only the new points are solved for, and the
-    count d^n + 1 is met by construction or the solve fails."""
+    their multiplicities, so only the m new points are solved for, from the
+    m points of the backward tree that `_period_seeds` keeps.  The count
+    d^n + 1 is met by construction or the solve fails."""
     d = f.degree
     expected = d**n + 1
     if expected > PERIOD_DEGREE_CAP:
@@ -390,16 +392,17 @@ def _solve_period(f: RationalMap, n: int) -> list:
         return _close_orbits(f, n, tail, pool, known_total)
     finite = np.isfinite(pool)
     known, weights = pool[finite], weights[finite]
-    try:
-        seed_cloud = _sampler_points(f, max(4 * m, 256), seed=20210 + n)
-    except PreimageSolveFailed:
-        # no repelling cycle of period 1 or 2 to sample backward from (as
-        # while period 2 itself is being solved): seed from a ring
-        seed_cloud = np.zeros(0, dtype=complex)
-    z = _aberth_functional(f, n, _spread_initial(seed_cloud, m), known, weights)
+    z = _aberth_functional(f, n, _period_seeds(f, n, m), known, weights)
     F, lam, _ = _orbit_data(f, z, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         quality = np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
+    # an orbit through a pole is read chart by chart
+    for i in np.flatnonzero(~np.isfinite(quality)).tolist():
+        orbit = [SpherePoint.of(z[i])]
+        for _ in range(n - 1):
+            orbit.append(f(orbit[-1]))
+        gap = max(abs(cycle_multiplier(f, orbit) - 1.0), 1e-6)
+        quality[i] = chordal_distance(f(orbit[-1]), orbit[0]) / gap
     ok = np.isfinite(quality) & (quality < 1e-7 * np.maximum(1.0, np.abs(z)))
     if not np.all(ok):
         raise RootFindingFailed(
@@ -465,18 +468,50 @@ def _successors(f, z, pts) -> np.ndarray:
     return succ
 
 
-def _spread_initial(cloud: np.ndarray, m: int) -> np.ndarray:
-    pts = np.asarray(cloud, dtype=complex)
-    pts = pts[np.isfinite(pts)]
-    if pts.size == 0:
-        pts = np.exp(2j * np.pi * np.arange(max(m, 8)) / max(m, 8)) * 2.0
-    pts = pts[np.lexsort((pts.imag, pts.real))]
-    # with fewer points than m, points repeat; the jitter separates them
-    base = pts[np.linspace(0, len(pts) - 1, m).astype(int)]
-    rng = np.random.default_rng(4242)
-    scale = max(1.0, float(np.median(np.abs(base))))
-    jitter = 1e-3 * scale * np.exp(2j * np.pi * rng.random(m))
-    return base + jitter
+def _period_seeds(f: RationalMap, n: int, m: int) -> np.ndarray:
+    """m finite starting points for the period-n solve: the level-n backward
+    tree f^-n(p) of one repelling point p (`_tree_root`), equidistributed
+    like the period-n points, each point on its own contracting branch of
+    f^-n.  The point nearest each known repelling point is dropped, then the
+    surplus nearest the other known points and infinity.  A seeded jitter of
+    1e-3 of the local spacing 1/|(f^n)'| breaks the symmetry of a real map's
+    tree, whose real points Aberth keeps real.  Without p, a ring of radius 2."""
+    root = _tree_root(f)
+    if root is None:
+        base = 2.0 * np.exp(2j * np.pi * np.arange(m) / m)
+    else:
+        tree = np.array([root])
+        for _ in range(n):
+            tree = _preimage_rows(f, tree)[0].reshape(-1)
+        lower = [o for k in range(1, n) if n % k == 0 for o in _period_solutions(f, k)]
+        free = np.isfinite(tree)
+        drop = np.flatnonzero(~free).tolist()
+        for q in sphere_array([p for o in lower if o.stability == "repelling" for p in o.points]):
+            drop.append(int(np.argmin(np.where(free, chordal_distances(q, tree), np.inf))))
+            free[drop[-1]] = False
+        other = [p for o in lower if o.stability != "repelling" for p in o.points] + [INF]
+        near = np.min(chordal_distances(sphere_array(other)[:, None], tree[None, :]), axis=0)
+        drop += [k for k in np.argsort(near, kind="stable").tolist() if free[k]]
+        base = np.delete(tree, drop[: len(tree) - m])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        local = np.fmin(1.0, 1.0 / np.abs(_orbit_data(f, base, n)[1]))
+    scale = 1e-3 * max(1.0, float(np.median(np.abs(base)))) * local
+    return base + scale * np.exp(2j * np.pi * np.random.default_rng(4242).random(m))
+
+
+def _tree_root(f: RationalMap):
+    """The repelling point of `_start_candidates` chordally farthest from
+    the first three images of the critical points, near which tree points
+    would coincide; None when there is none."""
+    try:
+        pts = sphere_array(_start_candidates(f))
+    except PreimageSolveFailed:
+        return None
+    post = [sphere_array(critical_points(f))]
+    for _ in range(3):
+        post.append(image_array(f, post[-1]))
+    far = np.min(chordal_distances(pts[:, None], np.concatenate(post[1:])[None, :]), axis=1)
+    return pts[np.argmax(far)]
 
 
 def periodic_points(f: RationalMap, n: int):
@@ -559,9 +594,7 @@ def _point_json(p: SpherePoint):
 @dataclass
 class MaxEntropySample:
     """The points of a batched backward walk (`backward_sample`), its burn-in
-    (steps per chain), the requested count and the seed.  The seeded stream
-    is the batched walk's, so a seed gives other points than the
-    single-chain walk of earlier versions did."""
+    (steps per chain), the requested count and the seed."""
 
     points: list
     burn_in: int
@@ -588,9 +621,7 @@ def _start_candidates(f: RationalMap):
 def backward_sample(f: RationalMap, size: int, seed: int) -> MaxEntropySample:
     """`size` points of the batched backward walk `_sampler_points` (at most
     64 chains, uniform preimage choice), which approximate the measure of
-    maximal entropy.  The burn-in of BURN_IN steps counts per chain.  The
-    seeded stream is that of the batched walk, so a seed gives other points
-    than the single-chain walk of earlier versions did."""
+    maximal entropy.  The burn-in of BURN_IN steps counts per chain."""
     if f.degree < 2:
         raise ValueError("backward sampling requires degree >= 2")
     pts = _sphere_points(_sampler_points(f, size, seed))
@@ -738,40 +769,28 @@ def _horner(c, w):
     return val, slope
 
 
-def _batched_backward_step(f, z, rng):
-    """One backward step for a batch of finite points (complex ndarray)."""
-    d = f.degree
+def _preimage_rows(f, z):
+    """All d preimages of each point of the sphere array z, one row each
+    (infinity as inf), and the mask of the rows solved as a batch: by the
+    quadratic formula at degree 2, else `_monic_roots`.  The other rows
+    (infinity, a vanishing leading coefficient) take `_preimage_values`."""
     nc, dc = _preimage_coeffs(f)
-    if d == 2 and len(nc) == 3:
-        a = nc[2] - z * dc[2]
-        b = nc[1] - z * dc[1]
-        c = nc[0] - z * dc[0]
-        ok = np.abs(a) > 1e-13 * (np.abs(a) + np.abs(b) + np.abs(c))
-        r1, r2 = _quadratic_rows(a, b, c)
-        pick = rng.integers(0, 2, size=len(z))
-        out = np.where(pick == 0, r1, r2)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            coeffs = nc[None, :] - z[:, None] * dc[None, :]
-            lead = coeffs[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coeffs = nc[None, :] - z[:, None] * dc[None, :]
+        if len(nc) == 3:
+            c, b, a = coeffs.T
+            ok = np.abs(a) > 1e-13 * (np.abs(a) + np.abs(b) + np.abs(c))
+            roots = np.empty((len(z), 2), dtype=complex)  # cheaper than np.stack
+            roots[:, 0], roots[:, 1] = _quadratic_rows(a, b, c)
+        else:
             scale = np.max(np.abs(coeffs), axis=1)
-            ok = np.isfinite(scale) & (np.abs(lead) > 1e-12 * scale)
-            # a degenerate entry solves w^d = 0 in its row: the batch keeps
-            # the walk's width, which picks the root kernel
-            monic = np.where(ok[:, None], coeffs / lead[:, None], 0.0)
-        out = np.empty_like(z)
-        idx_ok = np.nonzero(ok)[0]
-        if idx_ok.size:
-            roots = _monic_roots(monic)
-            pick = rng.integers(0, d, size=len(idx_ok))
-            out[idx_ok] = roots[idx_ok, pick]
-    # degenerate batch entries (infinity, a dropped leading coefficient)
-    # take a scalar preimage solve
-    for i in np.nonzero(~ok)[0]:
+            ok = np.isfinite(scale) & (np.abs(coeffs[:, -1]) > 1e-12 * scale)
+            # a degenerate row solves w^d = 0, so the batch width picks the kernel
+            roots = _monic_roots(np.where(ok[:, None], coeffs / coeffs[:, -1:], 0.0))
+    for i in np.flatnonzero(~ok):
         pre = _preimage_values(f, complex(z[i]) if np.isfinite(z[i]) else None)
-        choice = pre[int(rng.integers(0, len(pre)))]
-        out[i] = complex(math.inf, 0.0) if choice is None else choice
-    return out
+        roots[i] = [math.inf if w is None else w for w in pre]
+    return roots, ok
 
 
 def _sampler_points(f: RationalMap, size: int, seed: int, cloud: bool = False) -> np.ndarray:
@@ -779,19 +798,20 @@ def _sampler_points(f: RationalMap, size: int, seed: int, cloud: bool = False) -
 
     A cloud of a degree-3 or degree-4 map walks CLOSED_FORM_ROWS chains, so
     that every step takes the closed-form roots of `_monic_roots`.  Other
-    walks, the period seeds and `backward_sample` among them, run at most
-    64 chains, which take the companion eigensolve (or the quadratic
-    formula at degree 2)."""
-    starts = _start_candidates(f)
-    if cloud and f.degree in (3, 4):
-        chains = CLOSED_FORM_ROWS
-    else:
-        chains = int(min(64, max(8, size // 32 + 1)))
+    walks, `backward_sample`'s among them, run at most 64 chains, which take
+    the companion eigensolve (or the quadratic formula at degree 2)."""
+    wide = cloud and f.degree in (3, 4)
+    chains = CLOSED_FORM_ROWS if wide else int(min(64, max(8, size // 32 + 1)))
     rng = np.random.default_rng(seed)
-    z = np.resize(sphere_array(starts), chains)
+    z = np.resize(sphere_array(_start_candidates(f)), chains)
     out = np.empty((int(np.ceil(size / chains)), chains), dtype=complex)
     for k in range(BURN_IN + len(out)):
-        z = _batched_backward_step(f, z, rng)
+        # uniform draws: all rows at degree 2 (else the batch solved ones), then the rest
+        roots, ok = _preimage_rows(f, z)
+        rows = np.arange(chains) if f.degree == 2 else np.flatnonzero(ok)
+        z[rows] = roots[rows, rng.integers(0, f.degree, size=len(rows))]
+        for i in np.flatnonzero(~ok):
+            z[i] = roots[i, rng.integers(0, f.degree)]
         if k >= BURN_IN:
             out[k - BURN_IN] = z
     return out.reshape(-1)[:size]

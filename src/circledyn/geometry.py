@@ -31,7 +31,7 @@ from .algebra import (
     finite_poles,
     sphere_array,
 )
-from .dynamics import preimage_points
+from .dynamics import _preimage_rows
 from .errors import DegenerateCloud, DegeneratePoints
 
 CIRCLE_ACCEPT_RESIDUAL = 1e-4
@@ -223,8 +223,8 @@ def invariance_check(f: RationalMap, circle: GeneralizedCircle, points=None) -> 
     the preimages of circle samples are evidence only."""
     images = [f(p) for p in circle.sample_points(FORWARD_SAMPLES)]
     fwd_res = float(np.max(residuals(circle, sphere_array(images))))
-    pre = [q for p in circle.sample_points(PREIMAGE_SAMPLES) for q in preimage_points(f, p)]
-    pre_res = float(np.max(residuals(circle, sphere_array(pre))))
+    pre, _ = _preimage_rows(f, sphere_array(circle.sample_points(PREIMAGE_SAMPLES)))
+    pre_res = float(np.max(residuals(circle, pre.reshape(-1))))
     degree = real_line_degree(conjugate(f, normalize_to_real_line(circle, points)))
     return {
         "forward_residual": fwd_res,

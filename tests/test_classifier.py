@@ -15,7 +15,7 @@ from circledyn.classifier import (
 from circledyn.dynamics import preimage_points
 from circledyn.errors import DegeneratePoints, DegreeCapExceeded
 from circledyn.geometry import REAL_LINE, UNIT_CIRCLE, real_line_degree
-from circledyn.realjulia import construct_polynomial, random_valid_spec
+from circledyn.realjulia import build_example, construct_polynomial, random_valid_spec
 
 
 def test_postcritical_squaring():
@@ -352,6 +352,16 @@ def test_squaring_conjugate_at_default_nmax(draw):
     m = _seeded_conjugators(draw + 1)[draw]
     rep = dichotomy_verdict(conjugate(parse_map("z^2"), m))
     assert rep.verdict == "CIRCLE_CASE_I", rep.inconclusive_reason
+
+
+def test_ex3_conjugate_at_default_nmax():
+    # draw 2 ended INCONCLUSIVE ("not permuted") with seeds from a backward
+    # walk: the period-6 Aberth iteration ran into its 400-step cap among
+    # the period-6 points packed within 1e-9 of the fixed point of
+    # multiplier -204
+    ex3 = build_example("EX3", p=0.2, a=0.5, eps=1e-3).map
+    rep = dichotomy_verdict(conjugate(ex3, _seeded_conjugators(3)[2]))
+    assert rep.verdict == "CIRCLE_CASE_III", rep.inconclusive_reason
 
 
 def test_swap_components_is_the_sign_of_the_degree():

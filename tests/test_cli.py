@@ -203,6 +203,8 @@ def test_maps_without_repelling_fixed_points_do_not_recurse(capsys):
         (["--example", "EX2", "--c", "0.9"], "CIRCLE_CASE_III", 0),
         (["--example", "EX3", "--p", "0.2", "--a", "0.5", "--eps", "0.001"], "CIRCLE_CASE_III", 0),
         (["--map", "z^2-2", "--nmax", "8"], "CIRCLE_CASE_II", 0),
+        # like 1/z^2: the period-2 points 0 and inf are tested in charts
+        (["--map", "1/z^3"], "CIRCLE_CASE_I", 0),
     ],
 )
 def test_period_engine_inputs_end_in_a_verdict(args, verdict, exit_code, capsys):

@@ -34,6 +34,7 @@ from circledyn.dynamics import (
     real_multiplier_test,
 )
 from circledyn.errors import DerivativeSingular, PreimageSolveFailed, RootFindingFailed
+from circledyn.realjulia import construct_polynomial, random_valid_spec
 
 
 def _orbit_index(orbits, key):
@@ -123,6 +124,93 @@ def test_seeded_real_polynomials_meet_the_dynatomic_count():
         for n in range(1, 6):
             want = sum(_mobius_mu(n // k) * (d**k + 1) for k in range(1, n + 1) if n % k == 0)
             assert len(periodic_points(f, n)) * n == want, (f, n)
+
+
+def _dynatomic_cycles(d, n):
+    return sum(_mobius_mu(n // k) * (d**k + 1) for k in range(1, n + 1) if n % k == 0) // n
+
+
+@pytest.mark.parametrize("k, d, n_max", [(1, 5, 5), (0, 8, 4)])
+def test_constructed_cantor_polynomials_meet_the_dynatomic_count(k, d, n_max):
+    # real Cantor Julia sets, whose period-n points lie close together; the
+    # walk-seeded solve found 3108 of 3126 and 4070 of 4097 solutions
+    f = construct_polynomial(random_valid_spec(np.random.default_rng(k), d)).rational
+    for n in range(1, n_max + 1):
+        assert len(periodic_points(f, n)) == _dynatomic_cycles(d, n), n
+
+
+def _backward_tree(f, n):
+    tree = np.array([dynamics._tree_root(f)])
+    for _ in range(n):
+        tree = dynamics._preimage_rows(f, tree)[0].reshape(-1)
+    return tree
+
+
+@pytest.mark.parametrize(
+    "expr, n", [("z^2-2", 6), ("z^3-3*z", 5), (EX2_MAP, 3), ("lattes", 3)]
+)
+def test_period_seeds_are_m_distinct_finite_points(expr, n):
+    f = lattes_doubling_map() if expr == "lattes" else parse_map(expr)
+    # every new orbit is simple and finite, so m counts its points
+    m = sum(len(o.points) for o in periodic_points(f, n))
+    seeds = dynamics._period_seeds(f, n, m)
+    assert seeds.shape == (m,) and np.all(np.isfinite(seeds))
+    gaps = np.abs(seeds[:, None] - seeds[None, :]) + np.eye(m)
+    assert np.min(gaps) > 1e-6
+
+
+def test_period_seeds_start_away_from_the_postcritical_set():
+    # the critical points +-1 of z^3 - 3z land on the fixed points -+2 and stay
+    assert dynamics._tree_root(parse_map("z^3-3*z")) == 0.0
+
+
+def test_period_seed_surplus_is_trimmed_at_parabolic_infinity():
+    # EX2's fixed point infinity is parabolic: of the 27 tree points, two go
+    # for the repelling fixed points and one, the farthest out, for infinity
+    f = parse_map(EX2_MAP)
+    m = sum(len(o.points) for o in periodic_points(f, 3))
+    tree = _backward_tree(f, 3)
+    assert (len(tree), m) == (27, 24)
+    seeds = dynamics._period_seeds(f, 3, m)
+    assert np.max(np.abs(seeds)) < np.max(np.abs(tree)) - 1.0
+
+
+def test_period_seeds_take_the_ring_without_a_repelling_point(monkeypatch):
+    # z^2 + 1/4 has no repelling fixed point, and period 2 is being solved
+    seeds = []
+    period_seeds = dynamics._period_seeds
+
+    def recorded(f, n, m):
+        seeds.append(period_seeds(f, n, m))
+        return seeds[-1]
+
+    monkeypatch.setattr(dynamics, "_period_seeds", recorded)
+    periodic_points(parse_map("z^2+0.25"), 2)
+    assert len(seeds) == 1 and len(seeds[0]) == 2
+    assert np.allclose(np.abs(seeds[0]), 2.0, atol=3e-3)
+
+
+@pytest.mark.parametrize(
+    "expr", ["z^2-2", "z^3-3*z", "lattes", "(2*z^2+1)/(3*z^2+z)", "(z^2-4)/(1+0.25*z)"]
+)
+def test_preimage_rows_match_the_scalar_preimages(expr):
+    f = lattes_doubling_map() if expr == "lattes" else parse_map(expr)
+    z = np.array([0.3 - 0.2j, 2.0 / 3.0, -1.5 + 0.7j, complex(math.inf, 0.0), 5e8 - 3e8j])
+    rows, _ = dynamics._preimage_rows(f, z)
+    for w, row in zip(z, rows):
+        want = sphere_array(preimage_points(f, w if np.isfinite(w) else INF))
+        got = sphere_array([SpherePoint.of(r) for r in row])
+        dist = chordal_distances(got[:, None], want[None, :])
+        assert np.max(np.min(dist, axis=1)) < 1e-9 and np.max(np.min(dist, axis=0)) < 1e-9
+
+
+def test_orbits_through_the_pole_are_tested_in_charts():
+    # the period-2 cycle {0, inf} of 1/z^3: (f^2)' is inf * 0 in one chart
+    f = parse_map("1/z^3")
+    for n in range(1, 5):
+        assert projective_solution_count(f, n) == 3**n + 1
+    (cycle,) = [o for o in periodic_points(f, 2) if any(p.infinite for p in o.points)]
+    assert min(chordal_distance(p, SpherePoint.of(0.0)) for p in cycle.points) < 1e-12
 
 
 def test_exact_period_filtering_counts():
