@@ -120,7 +120,10 @@ def _modulus(z):
 
 def sphere_array(points) -> np.ndarray:
     """Sphere points (SpherePoint, complex or None) as a complex array, with
-    infinity stored as complex(inf, 0)."""
+    infinity stored as complex(inf, 0).  An ndarray is already a sphere
+    array (any non-finite entry is infinity) and passes through as is."""
+    if isinstance(points, np.ndarray):
+        return np.asarray(points, dtype=complex)
     return np.fromiter(
         (
             complex(math.inf, 0.0) if p.infinite else complex(p.re, p.im)

@@ -35,7 +35,7 @@ from .algebra import (
 )
 from .dynamics import (
     _multiplicity,
-    julia_cloud,
+    julia_points,
     periodic_points,
     preimage_points,
     real_multiplier_test,
@@ -435,7 +435,7 @@ def dichotomy_verdict(
         return ClassificationReport(
             verdict="NO_REAL_STRUCTURE", degree=f.degree, real_multiplier=rmt
         )
-    cloud = julia_cloud(f, cloud_size, seed)
+    cloud = julia_points(f, cloud_size, seed)
     anchors = _repelling_anchor_points(f)
     try:
         circle, residual = best_circle(cloud, anchors=anchors)
@@ -500,7 +500,7 @@ def circle_case_classify(
     through the repelling period-1 and period-2 points; the interval I of
     cases II and III runs between solved periodic points or their preimages."""
     if cloud is None:
-        cloud = julia_cloud(f, cloud_size, seed)
+        cloud = julia_points(f, cloud_size, seed)
     residual = containment_residual(circle, cloud)
     anchors = _repelling_anchor_points(f)
     inv = invariance_check(f, circle, anchors)
@@ -561,25 +561,17 @@ def circle_case_classify(
 def _own_circle_angles(circle: GeneralizedCircle, cloud) -> np.ndarray:
     """Angular coordinates of the cloud in the circle's own parametrization,
     in the original coordinates (a Moebius-normalized line would distort the
-    gap statistic arbitrarily)."""
+    gap statistic arbitrarily); infinity is angle pi on a line."""
     norm = circle.normalized()
-    out = []
+    z = sphere_array(cloud)
+    finite = z[np.isfinite(z)]
     if norm.is_line:
         base, direction = norm.line_frame()
-        for p in cloud:
-            if p.infinite:
-                out.append(math.pi)
-            else:
-                t = ((p.value - base) / direction).real
-                out.append(2.0 * math.atan(t))
-    else:
-        center = -norm.B / norm.A
-        for p in cloud:
-            if p.infinite:
-                continue
-            w = p.value - center
-            out.append(math.atan2(w.imag, w.real))
-    return np.asarray(out, dtype=float)
+        t = ((finite - base) / direction).real
+        return np.append(2.0 * np.arctan(t), np.full(len(z) - len(finite), math.pi))
+    center = -norm.B / norm.A
+    w = finite - center
+    return np.arctan2(w.imag, w.real)
 
 
 def _max_circle_gap(angles: np.ndarray) -> float:
@@ -608,7 +600,7 @@ def _julia_fills_circle(f: RationalMap, circle: GeneralizedCircle) -> bool:
         for orbit in orbits:
             if orbit.stability == "repelling":
                 continue
-            if all(circle.point_residual(p) <= 1e-6 for p in orbit.points):
+            if containment_residual(circle, orbit.points) <= 1e-6:
                 return False
     return True
 

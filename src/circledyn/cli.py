@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import INF, RationalMap, SpherePoint
 from .classifier import dichotomy_verdict
-from .dynamics import cloud_array, julia_cloud
+from .dynamics import julia_points
 from .errors import CircledynError
 from .linearizer import (
     functional_equation_residual,
@@ -117,7 +117,17 @@ def _add_map_args(sub):
     sub.add_argument("--eps", type=float, help="parameter eps for EX3")
 
 
+def _check_at_least(value: int, flag: str, minimum: int):
+    if value < minimum:
+        raise CircledynError(f"{flag} must be at least {minimum}")
+
+
 def cmd_classify(args) -> int:
+    _check_at_least(args.nmax, "--nmax", 1)
+    _check_at_least(args.cloud, "--cloud", 3)
+    _check_at_least(args.seed, "--seed", 0)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise CircledynError("--tol must be a finite number >= 0")
     f = _load_map(args, min_degree=2)
     report = dichotomy_verdict(
         f, n_max=args.nmax, seed=args.seed, cloud_size=args.cloud, tol=args.tol
@@ -136,14 +146,23 @@ def cmd_classify(args) -> int:
 
 
 def _parse_window(text):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise CircledynError("--window needs x0,y0,x1,y1")
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 4 or not all(map(math.isfinite, parts)):
+        raise CircledynError("--window needs four finite numbers x0,y0,x1,y1")
+    x0, y0, x1, y1 = parts
+    if not (x0 < x1 and y0 < y1):
+        raise CircledynError("--window needs x0 < x1 and y0 < y1")
     return parts
 
 
 def _parse_res(text):
-    parts = [int(v) for v in text.split(",")]
+    try:
+        parts = [int(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 2 or parts[0] < 1 or parts[1] < 1:
         raise CircledynError("--res needs W,H")
     if parts[0] * parts[1] > 4096 * 4096:
@@ -152,29 +171,33 @@ def _parse_res(text):
 
 
 def render_pgm(path, cloud, window, res):
+    """Write the finite points of the cloud (a sphere array) that lie in the
+    window as white pixels of a binary PGM: x maps to column
+    int((x - x0) / (x1 - x0) * (w - 1)), y to row h - 1 - int(...) likewise."""
     x0, y0, x1, y1 = window
     w, h = res
     img = np.zeros((h, w), dtype=np.uint8)
-    finite, _ = cloud_array(cloud)
-    for z in finite:
-        if x0 <= z.real <= x1 and y0 <= z.imag <= y1:
-            col = int((z.real - x0) / (x1 - x0) * (w - 1))
-            row = int((z.imag - y0) / (y1 - y0) * (h - 1))
-            img[h - 1 - row, col] = 255
+    x, y = cloud.real, cloud.imag
+    inside = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+    cols = ((x[inside] - x0) / (x1 - x0) * (w - 1)).astype(int)
+    rows = ((y[inside] - y0) / (y1 - y0) * (h - 1)).astype(int)
+    img[h - 1 - rows, cols] = 255
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(img.tobytes())
 
 
 def cmd_julia(args) -> int:
+    _check_at_least(args.seed, "--seed", 0)
     f = _load_map(args, min_degree=2)
-    cloud = julia_cloud(f, args.size, args.seed)
-    lines = []
-    for p in cloud:
-        if p.infinite:
-            lines.append("inf,0.0")
-        else:
-            lines.append(f"{p.re!r},{p.im!r}")
+    if args.pgm:
+        window = _parse_window(args.window)
+        res = _parse_res(args.res)
+    cloud = julia_points(f, args.size, args.seed)
+    lines = [
+        f"{x!r},{y!r}" if is_finite else "inf,0.0"
+        for x, y, is_finite in zip(cloud.real.tolist(), cloud.imag.tolist(), np.isfinite(cloud).tolist())
+    ]
     text = "\n".join(lines) + "\n"
     try:
         if args.out:
@@ -183,8 +206,6 @@ def cmd_julia(args) -> int:
         else:
             sys.stdout.write(text)
         if args.pgm:
-            window = _parse_window(args.window)
-            res = _parse_res(args.res)
             render_pgm(args.pgm, cloud, window, res)
     except OSError as exc:
         print(f"output failed: {exc}", file=sys.stderr)
@@ -205,6 +226,7 @@ def _parse_point(text) -> SpherePoint:
 
 
 def cmd_poincare(args) -> int:
+    _check_at_least(args.order, "--order", 1)
     f = _load_map(args)
     p = _parse_point(args.at)
     series = poincare_coeffs(f, p, args.order)

@@ -817,10 +817,10 @@ def _sampler_points(f: RationalMap, size: int, seed: int, cloud: bool = False) -
     return out.reshape(-1)[:size]
 
 
-def julia_cloud(f: RationalMap, size: int, seed: int):
+def julia_points(f: RationalMap, size: int, seed: int) -> np.ndarray:
     """Union of backward runs from repelling low-period points, deduplicated
-    on a grid of pitch 1e-4 (both charts).  Returns at most `size` points,
-    fewer when the grid saturates (thin Cantor Julia sets).
+    on a grid of pitch 1e-4 (both charts), as a sphere array.  Holds at most
+    `size` points, fewer when the grid saturates (thin Cantor Julia sets).
 
     Each batch adds, in batch order, the points of the grid cells it is
     first to reach, until `size` cells are filled; the points come out
@@ -844,7 +844,12 @@ def julia_cloud(f: RationalMap, size: int, seed: int):
     z = np.concatenate(kept)
     finite = np.isfinite(z)
     order = np.lexsort((np.where(finite, z.imag, 0.0), np.where(finite, z.real, math.inf)))
-    return _sphere_points(z[order])
+    return z[order]
+
+
+def julia_cloud(f: RationalMap, size: int, seed: int) -> list:
+    """The points of `julia_points` as SpherePoints."""
+    return _sphere_points(julia_points(f, size, seed))
 
 
 def _sphere_points(z) -> list:
@@ -863,12 +868,3 @@ def _grid_cells(z) -> np.ndarray:
     re = np.round(w.real / DEDUP_PITCH).astype(np.int64) + span // 2
     im = np.round(w.imag / DEDUP_PITCH).astype(np.int64) + span // 2
     return (inverted * span + re) * span + im
-
-
-def cloud_array(cloud):
-    """Split a cloud into a finite complex ndarray and a count at infinity."""
-    finite = np.array(
-        [p.value for p in cloud if not p.infinite], dtype=complex
-    )
-    n_inf = sum(1 for p in cloud if p.infinite)
-    return finite, n_inf

@@ -10,7 +10,6 @@ what makes the residuals chart-robust near infinity.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,17 +17,17 @@ import numpy as np
 
 from .algebra import (
     COEFF_DROP_TOL,
-    INF,
     Moebius,
     RationalMap,
     SpherePoint,
+    _modulus,
     chart_coeffs,
     chart_split,
-    chordal_distance,
     chordal_distances,
     conjugate,
     critical_points,
     finite_poles,
+    image_array,
     sphere_array,
 )
 from .dynamics import _preimage_rows
@@ -78,57 +77,48 @@ class GeneralizedCircle:
                 break
         return GeneralizedCircle(a, b, c)
 
-    def point_residual(self, p) -> float:
-        """The residual of one sphere point (see `residuals`)."""
-        return float(residuals(self, sphere_array([p]))[0])
-
     def line_frame(self):
         """Base point and unit direction of a line: base + t direction, t real."""
         b = self.B
         return -self.C * b / (2.0 * abs(b) ** 2), 1j * b / abs(b)
 
-    def sample_points(self, count: int):
-        """Deterministic points on the circle, sphere-spread for lines."""
+    def sample_points(self, count: int) -> np.ndarray:
+        """Deterministic points on the circle as a sphere array, sphere-spread
+        for lines (whose last point is infinity)."""
         if self.is_line:
             base, direction = self.line_frame()
             ts = np.tan(np.pi * ((np.arange(count - 1) + 0.5) / (count - 1) - 0.5))
-            pts = [SpherePoint.of(base + direction * t) for t in ts]
-            pts.append(INF)
-            return pts
+            return np.append(base + direction * ts, complex(math.inf, 0.0))
         center = -self.B / self.A
         radius = math.sqrt(abs(self.B) ** 2 - self.A * self.C) / abs(self.A)
         angles = 2.0 * np.pi * (np.arange(count) + 0.25) / count
-        return [SpherePoint.of(center + radius * cmath.exp(1j * t)) for t in angles]
+        return center + radius * np.exp(1j * angles)
 
 
 def circle_through_3(p1, p2, p3) -> GeneralizedCircle:
     """The unique generalized circle through three distinct sphere points."""
-    pts = [SpherePoint.of(p) for p in (p1, p2, p3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if chordal_distance(pts[i], pts[j]) <= 1e-9:
-                raise DegeneratePoints("circle through nearly coincident points")
-    rows = []
-    for p in pts:
-        rows.append(_design_row(p))
-    m = np.asarray(rows, dtype=float)
-    _, _, vh = np.linalg.svd(m)
+    z = sphere_array([p1, p2, p3])
+    if np.min(chordal_distances(z[[0, 0, 1]], z[[1, 2, 2]])) <= 1e-9:
+        raise DegeneratePoints("circle through nearly coincident points")
+    _, _, vh = np.linalg.svd(_design_rows(z))
     a, bx, by, c = vh[-1]
     circ = GeneralizedCircle(float(a), complex(bx, by), float(c)).normalized()
-    worst = float(np.max(residuals(circ, sphere_array(pts))))
+    worst = float(np.max(residuals(circ, z)))
     if worst > 1e-12:
         raise DegeneratePoints(f"three-point circle residual {worst:.2e}")
     return circ
 
 
-def _design_row(p: SpherePoint):
-    # row of [|z|^2, 2 Re z, 2 Im z, 1] scaled by 1/(1+|z|^2): bounded on the
-    # sphere, with infinity mapping to [1, 0, 0, 0]
-    if p.infinite:
-        return [1.0, 0.0, 0.0, 0.0]
-    z = p.value
-    w = 1.0 / (1.0 + abs(z) ** 2)
-    return [abs(z) ** 2 * w, 2.0 * z.real * w, 2.0 * z.imag * w, w]
+def _design_rows(z) -> np.ndarray:
+    # rows of [|z|^2, 2 Re z, 2 Im z, 1] scaled by 1/(1+|z|^2): bounded on the
+    # sphere, with infinity mapping to [1, 0, 0, 0]; np.float_power and
+    # np.hypot round as the scalar abs(z) ** 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.float_power(_modulus(z), 2)
+        w = 1.0 / (1.0 + s)
+        rows = np.stack([s * w, 2.0 * z.real * w, 2.0 * z.imag * w, w], axis=-1)
+    rows[~np.isfinite(s)] = [1.0, 0.0, 0.0, 0.0]
+    return rows
 
 
 def residuals(circle: GeneralizedCircle, z) -> np.ndarray:
@@ -153,21 +143,20 @@ def residuals(circle: GeneralizedCircle, z) -> np.ndarray:
 
 def containment_residual(circle: GeneralizedCircle, cloud) -> float:
     """Maximum chart-robust residual of the cloud against the circle."""
-    pts = list(cloud)
-    if not pts:
+    z = sphere_array(cloud)
+    if not len(z):
         raise ValueError("empty cloud")
-    return float(np.max(residuals(circle, sphere_array(pts))))
+    return float(np.max(residuals(circle, z)))
 
 
 def best_circle(cloud, anchors=None):
     """Least-squares Hermitian-form fit; optional anchor points (taken to lie
     on the locus exactly) seed a three-point candidate that competes with
     the global fit.  Returns (circle, residual over the cloud)."""
-    pts = list(cloud)
-    if len(pts) < 3:
+    z = sphere_array(cloud)
+    if len(z) < 3:
         raise DegenerateCloud("need at least 3 points to fit a circle")
-    rows = np.asarray([_design_row(SpherePoint.of(p)) for p in pts], dtype=float)
-    _, _, vh = np.linalg.svd(rows, full_matrices=False)
+    _, _, vh = np.linalg.svd(_design_rows(z), full_matrices=False)
     candidates = []
     a, bx, by, c = vh[-1]
     try:
@@ -176,11 +165,9 @@ def best_circle(cloud, anchors=None):
         )
     except DegeneratePoints:
         pass
-    seed_pts = [SpherePoint.of(p) for p in (anchors or [])]
+    seed_pts = sphere_array([] if anchors is None else anchors)
     anchored = len(seed_pts) >= 3
-    if not anchored:
-        seed_pts = [SpherePoint.of(p) for p in pts]
-    triple = _well_separated_triple(seed_pts)
+    triple = _well_separated_triple(seed_pts if anchored else z)
     if triple is not None:
         try:
             candidates.append(circle_through_3(*triple))
@@ -188,7 +175,7 @@ def best_circle(cloud, anchors=None):
             pass
     if not candidates:
         raise DegenerateCloud("cloud does not determine a circle")
-    scored = [(containment_residual(circ, pts), k, circ) for k, circ in enumerate(candidates)]
+    scored = [(containment_residual(circ, z), k, circ) for k, circ in enumerate(candidates)]
     # residuals below 1e-12 tie: then the circle through the anchors (solved
     # points of J) beats the fit, so rounding noise in the sampled cloud
     # never chooses the circle
@@ -198,22 +185,20 @@ def best_circle(cloud, anchors=None):
     return best, best_res
 
 
-def _well_separated_triple(pts):
-    if len(pts) < 3:
+def _well_separated_triple(points):
+    """Three of the sphere points: the first, the one farthest from it, and
+    the one farthest from both (first maxima win), or None when two of them
+    lie within 1e-9."""
+    z = sphere_array(points)
+    if len(z) < 3:
         return None
-    first = pts[0]
-    second = max(pts, key=lambda p: chordal_distance(first, p))
-    third = max(
-        pts,
-        key=lambda p: min(chordal_distance(first, p), chordal_distance(second, p)),
-    )
-    if min(
-        chordal_distance(first, second),
-        chordal_distance(first, third),
-        chordal_distance(second, third),
-    ) <= 1e-9:
+    to_first = chordal_distances(z[:1], z)
+    second = int(np.argmax(to_first))
+    to_second = chordal_distances(z[second : second + 1], z)
+    third = int(np.argmax(np.minimum(to_first, to_second)))
+    if min(to_first[second], to_first[third], to_second[third]) <= 1e-9:
         return None
-    return first, second, third
+    return z[0], z[second], z[third]
 
 
 def invariance_check(f: RationalMap, circle: GeneralizedCircle, points=None) -> dict:
@@ -221,9 +206,9 @@ def invariance_check(f: RationalMap, circle: GeneralizedCircle, points=None) -> 
     of f normalized to the real line through `points` on the circle (see
     `normalize_to_real_line`).  The residuals of mapped circle samples and of
     the preimages of circle samples are evidence only."""
-    images = [f(p) for p in circle.sample_points(FORWARD_SAMPLES)]
-    fwd_res = float(np.max(residuals(circle, sphere_array(images))))
-    pre, _ = _preimage_rows(f, sphere_array(circle.sample_points(PREIMAGE_SAMPLES)))
+    images = image_array(f, circle.sample_points(FORWARD_SAMPLES))
+    fwd_res = float(np.max(residuals(circle, images)))
+    pre, _ = _preimage_rows(f, circle.sample_points(PREIMAGE_SAMPLES))
     pre_res = float(np.max(residuals(circle, pre.reshape(-1))))
     degree = real_line_degree(conjugate(f, normalize_to_real_line(circle, points)))
     return {
@@ -288,14 +273,14 @@ def normalize_to_real_line(circle: GeneralizedCircle, points=None) -> Moebius:
     interval data stays in the natural coordinates.  Otherwise it is the
     cross-ratio map sending the triple to 0, 1 and infinity; it must send
     every point to the real line within 1e-9."""
-    pts = [SpherePoint.of(p) for p in (circle.sample_points(7) if points is None else points)]
-    triple = _well_separated_triple(pts)
+    z = sphere_array(circle.sample_points(7) if points is None else points)
+    triple = _well_separated_triple(z)
     if triple is None:
         raise DegeneratePoints("could not pick three separated circle points")
-    if all(p.infinite or is_real(p.value) for p in pts):
+    if np.all(~np.isfinite(z) | is_real(z)):
         return Moebius.identity()
-    m = _moebius_to_0_1_inf(*triple)
-    worst = float(np.max(residuals(REAL_LINE, sphere_array([m(p) for p in pts]))))
+    m = _moebius_to_0_1_inf(*map(SpherePoint.of, triple))
+    worst = float(np.max(residuals(REAL_LINE, sphere_array([m(p) for p in z]))))
     if worst > 1e-9:
         raise DegeneratePoints(f"normalization residual {worst:.2e}")
     return m

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from circledyn import Moebius, RationalMap, classifier, conjugate, dynamics, parse_map
+from circledyn import INF, Moebius, RationalMap, classifier, conjugate, dynamics, parse_map
 from circledyn.classifier import (
     circle_case_classify,
     critical_escape_times,
@@ -12,9 +12,15 @@ from circledyn.classifier import (
     postcritical_analysis,
     dichotomy_verdict,
 )
-from circledyn.dynamics import preimage_points
+from circledyn.dynamics import julia_cloud, julia_points, preimage_points
 from circledyn.errors import DegeneratePoints, DegreeCapExceeded
-from circledyn.geometry import REAL_LINE, UNIT_CIRCLE, real_line_degree
+from circledyn.geometry import (
+    REAL_LINE,
+    UNIT_CIRCLE,
+    best_circle,
+    containment_residual,
+    real_line_degree,
+)
 from circledyn.realjulia import build_example, construct_polynomial, random_valid_spec
 
 
@@ -82,7 +88,7 @@ def test_verdict_case_i_circle():
     f = parse_map("z^2")
     for p in circ.sample_points(64):
         for q in preimage_points(f, p):
-            assert circ.point_residual(q) < 1e-6
+            assert containment_residual(circ, [q]) < 1e-6
 
 
 def test_verdict_case_i_cantor():
@@ -187,20 +193,46 @@ def test_verdict_stability_under_conjugation():
 
 def test_case_ii_cloud_density():
     # the case-(ii) Julia set fills its interval: relative gaps below 1e-3
-    from circledyn.dynamics import julia_cloud, cloud_array
-
     f = parse_map("z^2-2")
-    cloud = julia_cloud(f, 60000, seed=5)
-    arr, _ = cloud_array(cloud)
-    xs = np.sort(arr.real)
+    cloud = julia_points(f, 60000, seed=5)
+    xs = np.sort(cloud.real)
     assert xs[0] == pytest.approx(-2.0, abs=1e-3)
     assert xs[-1] == pytest.approx(2.0, abs=1e-3)
     max_gap = float(np.max(np.diff(xs)))
     assert max_gap <= 1e-3 * 4.0
     rep = dichotomy_verdict(f, n_max=2)
-    from circledyn.geometry import containment_residual
-
     assert containment_residual(rep.circle, cloud) <= 1e-6
+
+
+EDGE_CONJUGATOR = Moebius(0.364572 - 0.736454j, 0.294132 - 0.16291j, 0.028422 - 0.482119j, 0.546713 + 0.598846j)
+EDGE_MAPS = {
+    "z^2-2": parse_map("z^2-2"),
+    "z^2": parse_map("z^2"),
+    "EX1(0.25)": build_example("EX1", c=0.25).map,
+    "z^2-2 conjugate": conjugate(parse_map("z^2-2"), EDGE_CONJUGATOR),
+}
+
+
+@pytest.mark.parametrize("key", list(EDGE_MAPS))
+def test_cloud_as_spherepoints_and_as_array_gives_the_same_results(key):
+    # julia_cloud is julia_points at the API edge, and the circle stage
+    # reads either form of the cloud to the same bits
+    f = EDGE_MAPS[key]
+    arr = julia_points(f, 3000, seed=2024)
+    pts = julia_cloud(f, 3000, seed=2024)
+    finite = np.isfinite(arr)
+    assert [p == INF for p in pts] == (~finite).tolist()
+    got = np.array([complex(p.re, p.im) for p in pts if not p.infinite], dtype=complex)
+    assert got.tobytes() == arr[finite].tobytes()
+
+    anchors = classifier._repelling_anchor_points(f)
+    fit = best_circle(arr, anchors=anchors)
+    assert best_circle(pts, anchors=anchors) == fit
+    circle = fit[0]
+    assert containment_residual(circle, pts) == containment_residual(circle, arr)
+    from_points = circle_case_classify(f, circle, cloud=pts).to_json_dict()
+    from_array = circle_case_classify(f, circle, cloud=arr).to_json_dict()
+    assert repr(from_points) == repr(from_array)
 
 
 def test_report_json_fields_present_exactly_when_applicable():

@@ -81,6 +81,31 @@ def test_julia_pgm_window_excluding_everything(tmp_path, capsys):
     assert set(pixels) == {0}
 
 
+def test_julia_pgm_lights_the_pixels_of_the_csv_points(tmp_path, capsys):
+    csv = tmp_path / "c.csv"
+    pgm = tmp_path / "c.pgm"
+    (x0, y0, x1, y1), (w, h) = (-1.5, -1.5, 1.5, 1.5), (64, 64)
+    code, _, _ = run_cli(
+        [
+            "julia", "--map", "z^2", "--size", "500", "--seed", "7",
+            "--out", str(csv), "--pgm", str(pgm),
+            "--window=-1.5,-1.5,1.5,1.5", "--res", "64,64",
+        ],
+        capsys,
+    )
+    assert code == 0
+    want = set()
+    for row in csv.read_text().splitlines():
+        x, y = (float(v) for v in row.split(","))
+        col = int((x - x0) / (x1 - x0) * (w - 1))
+        want.add((h - 1 - int((y - y0) / (y1 - y0) * (h - 1)), col))
+    header, pixels = pgm.read_bytes().split(b"\n255\n", 1)
+    assert header == b"P5\n64 64"
+    img = np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)
+    assert set(np.unique(img)) == {0, 255}
+    assert set(zip(*np.nonzero(img))) == want
+
+
 def test_julia_ex2_csv_real(tmp_path, capsys):
     out = tmp_path / "ex2.csv"
     code, _, _ = run_cli(
@@ -278,6 +303,29 @@ def test_near_line_constructed_polynomial_classifies(tmp_path, capsys):
             ["examples", "--file", "{dir}/e.json"], {"e.json": '{"family": "EX1"'}, id="example-malformed"
         ),
         pytest.param(["examples", "--file", "{dir}/e.json"], {"e.json": '{"c": 0.25}'}, id="example-no-key"),
+        pytest.param(
+            ["julia", "--map", "z^2-2", "--out", "{dir}/c.csv", "--pgm", "{dir}/c.pgm", "--window=-3,0,3,0"],
+            {},
+            id="window-flat",
+        ),
+        pytest.param(
+            ["julia", "--map", "z^2-2", "--out", "{dir}/c.csv", "--pgm", "{dir}/c.pgm", "--window=-inf,-1,inf,1"],
+            {},
+            id="window-infinite",
+        ),
+        pytest.param(
+            ["julia", "--map", "z^2-2", "--out", "{dir}/c.csv", "--pgm", "{dir}/c.pgm", "--res", "64,x"],
+            {},
+            id="res-not-a-number",
+        ),
+        pytest.param(["poincare", "--map", "z^2", "--at", "0", "--order", "0"], {}, id="order-0"),
+        pytest.param(["classify", "--map", "z^2-2", "--nmax", "0"], {}, id="nmax-0"),
+        pytest.param(["classify", "--map", "z^2-2", "--nmax", "-1"], {}, id="nmax-negative"),
+        pytest.param(["classify", "--map", "z^2-2", "--cloud", "2"], {}, id="cloud-2"),
+        pytest.param(["classify", "--map", "z^2+1", "--tol", "nan"], {}, id="tol-nan"),
+        pytest.param(["classify", "--map", "z^2-2", "--tol=-1"], {}, id="tol-negative"),
+        pytest.param(["classify", "--map", "z^2-2", "--seed=-1"], {}, id="classify-seed-negative"),
+        pytest.param(["julia", "--map", "z^2-2", "--out", "{dir}/c.csv", "--seed=-1"], {}, id="julia-seed-negative"),
     ],
 )
 def test_bad_outside_input_is_a_usage_error(args, files, tmp_path, capsys):
@@ -286,6 +334,8 @@ def test_bad_outside_input_is_a_usage_error(args, files, tmp_path, capsys):
     code, _, err = run_cli([a.format(dir=tmp_path) for a in args], capsys)
     assert code == 2
     assert err.startswith("error: ")
+    # and nothing was written
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_degree_one_map_still_linearizes(capsys):

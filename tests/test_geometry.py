@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from circledyn import INF, Moebius, SpherePoint, parse_map
+from circledyn.algebra import sphere_array
 from circledyn.dynamics import julia_cloud
 from circledyn.errors import DegeneratePoints
 from circledyn.geometry import (
@@ -14,6 +15,7 @@ from circledyn.geometry import (
     containment_residual,
     invariance_check,
     normalize_to_real_line,
+    residuals,
 )
 
 
@@ -34,7 +36,7 @@ def test_circle_through_0_1_inf_is_real_line():
 def test_circle_through_generic_points_residual():
     c = circle_through_3(0.0, 1 + 1j, 2.0)
     for p in (0.0, 1 + 1j, 2.0):
-        assert c.point_residual(p) < 1e-12
+        assert containment_residual(c, [p]) < 1e-12
 
 
 def test_circle_through_degenerate_points():
@@ -182,4 +184,9 @@ SHIFTED_CIRCLE = GeneralizedCircle(1.0, complex(-1.0, 0.5), 0.25)
     ids=repr,
 )
 def test_point_residual_is_one_point_containment(circle, p):
-    assert circle.point_residual(p) == containment_residual(circle, [SpherePoint.of(p)])
+    # a point's residual within a whole sphere array is the containment
+    # residual of that one point, given as a SpherePoint or as an array
+    z = sphere_array([INF, 0.0, p, 3.0 - 2.0j])
+    want = residuals(circle, z)[2]
+    assert containment_residual(circle, [SpherePoint.of(p)]) == want
+    assert containment_residual(circle, z[2:3]) == want
