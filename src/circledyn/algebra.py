@@ -253,16 +253,6 @@ class Poly:
     __rmul__ = __mul__
     __radd__ = __add__
 
-    def shift(self, p) -> "Poly":
-        """Coefficients of w -> P(p + w), by Horner in the shifted basis."""
-        p = complex(p)
-        base = np.array([p, 1.0], dtype=complex)
-        comp = np.array([self.coeffs[-1]], dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            comp = np.convolve(comp, base)
-            comp[0] += c
-        return Poly(comp)
-
     def deflate(self, root) -> "Poly":
         """Divide out (z - root), discarding the remainder."""
         c = self.coeffs
@@ -380,10 +370,6 @@ class Moebius:
     def identity() -> "Moebius":
         return Moebius(1.0, 0.0, 0.0, 1.0)
 
-    @staticmethod
-    def inversion() -> "Moebius":
-        return Moebius(0.0, 1.0, 1.0, 0.0)
-
     def inverse(self) -> "Moebius":
         return Moebius(self.d, -self.b, -self.c, self.a)
 
@@ -453,17 +439,6 @@ class RationalMap:
             self, "reciprocal_chart",
             lambda: RationalMap(*chart_coeffs(self, True, True), reduce=True),
         )
-
-    def derivative_at(self, z: complex) -> complex:
-        """f'(z) by the quotient rule, without building the derivative map."""
-        n, dn = self.num, self.den
-        nv = n(z)
-        dv = dn(z)
-        npv = n.deriv()(z)
-        dpv = dn.deriv()(z)
-        if dv == 0:
-            return complex(math.inf, 0.0)
-        return (npv * dv - nv * dpv) / (dv * dv)
 
     def __repr__(self):
         return f"RationalMap(num={self.num!r}, den={self.den!r})"

@@ -122,6 +122,16 @@ def _check_at_least(value: int, flag: str, minimum: int):
         raise CircledynError(f"{flag} must be at least {minimum}")
 
 
+def _numbers(values, what) -> tuple:
+    """The list values as floats; anything else is a usage error."""
+    if isinstance(values, list):
+        try:
+            return tuple(float(v) for v in values)
+        except (TypeError, ValueError):
+            pass
+    raise CircledynError(f"{what} must be a list of numbers")
+
+
 def cmd_classify(args) -> int:
     _check_at_least(args.nmax, "--nmax", 1)
     _check_at_least(args.cloud, "--cloud", 3)
@@ -189,6 +199,7 @@ def render_pgm(path, cloud, window, res):
 
 def cmd_julia(args) -> int:
     _check_at_least(args.seed, "--seed", 0)
+    _check_at_least(args.size, "--size", 1)
     f = _load_map(args, min_degree=2)
     if args.pgm:
         window = _parse_window(args.window)
@@ -217,12 +228,13 @@ def cmd_julia(args) -> int:
 def _parse_point(text) -> SpherePoint:
     if text.strip().lower() in ("inf", "infinity"):
         return INF
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) == 1:
-        return SpherePoint.of(parts[0])
-    if len(parts) == 2:
-        return SpherePoint.of(complex(parts[0], parts[1]))
-    raise CircledynError("--at needs re[,im] or inf")
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) not in (1, 2) or not all(map(math.isfinite, parts)):
+        raise CircledynError("--at needs finite numbers re[,im], or inf")
+    return SpherePoint.finite(complex(*parts))
 
 
 def cmd_poincare(args) -> int:
@@ -248,9 +260,9 @@ def cmd_construct(args) -> int:
         raise CircledynError("give exactly one of --values, --spec-file")
     if args.spec_file:
         data = _load_json(args.spec_file, "critical_values")
-        values = tuple(float(v) for v in data["critical_values"])
+        values = _numbers(data["critical_values"], f"{args.spec_file}: critical_values")
     else:
-        values = tuple(float(v) for v in args.values.split(","))
+        values = _numbers(args.values.split(","), "--values")
     spec = CriticalValueSpec(values)
     result = construct_polynomial(spec)
     payload = {
@@ -272,7 +284,9 @@ def cmd_examples(args) -> int:
     if args.file:
         data = _load_json(args.file, "family")
         family = data.pop("family")
-        params = {k: float(v) for k, v in data.items()}
+        if not isinstance(family, str):
+            raise CircledynError(f'{args.file}: "family" must be a string')
+        params = dict(zip(data, _numbers(list(data.values()), f"{args.file}: parameters")))
     else:
         family = args.family
         params = _example_params(args)

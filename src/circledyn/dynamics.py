@@ -209,6 +209,20 @@ def _multiplicity(f: RationalMap, orbit: PeriodicOrbit, n: int) -> int:
     return 1
 
 
+def _chart_series(f: RationalMap, p: SpherePoint, image: SpherePoint, order: int) -> np.ndarray:
+    """Taylor coefficients 0..order of f read from the chart z = p + w at p
+    (z = 1/w at infinity) to the chart z = image + v at the image (z = 1/v
+    at infinity); the constant term is the image's offset in that chart."""
+    chart = ((1.0,), (0.0, 1.0)) if p.infinite else ((p.value, 1.0), (1.0,))
+    num, den = _substitute(f, *chart)
+    if image.infinite:
+        num, den = den, num
+    else:
+        num = num - image.value * den
+    num, den = (pad_coeffs(c[: order + 1], order + 1) for c in (num, den))
+    return series_quotient(num, den, order)
+
+
 def _flower_order(f: RationalMap, points, r: int) -> int:
     """Order of f^{qr}(w) - w at the first point of a q-cycle, composed from
     the series of f between the charts z = p + w (z = 1/w at infinity) of
@@ -217,13 +231,7 @@ def _flower_order(f: RationalMap, points, r: int) -> int:
     order = (2 * f.degree - 2) * r + 1
     steps = []
     for p, image in zip(points, points[1:] + points[:1]):
-        chart = ((1.0,), (0.0, 1.0)) if p.infinite else ((p.value, 1.0), (1.0,))
-        num, den = _substitute(f, *chart)
-        if image.infinite:
-            num, den = den, num
-        else:
-            num = num - image.value * den
-        s = series_quotient(pad_coeffs(num, order + 1), pad_coeffs(den, order + 1), order)
+        s = _chart_series(f, p, image, order)
         s[0] = 0.0
         steps.append(s)
     acc = np.zeros(order + 1, dtype=complex)

@@ -3,33 +3,47 @@
 The linearizer Psi solves Psi(lambda z) = f(Psi(z)), Psi(0) = p, and is
 normalized here by DPsi(0) = 1 so coefficient tables are reproducible.
 Coefficients come from the triangular recursion
-(lambda^n - lambda) psi_n = [z^n] sum_{k>=2} a_k (sum_j psi_j z^j)^k,
-where the a_k are the local Taylor data of f at p.  Global values are
-obtained by shrinking the argument into the reliable disc of the truncated
-series and pushing forward with f.
+(lambda^n - lambda) psi_n = [z^n] sum_{k>=2} a_k S^k,  S = sum_j psi_j z^j,
+where the a_k are the local Taylor data of f at p, read by the chart
+series kernel of `dynamics` (the one the Leau-Fatou flower order reads).
+The table P[k, j] = [z^j] S^k is filled column by column: for k >= 2,
+[z^n] S^k = sum_{j<n} psi_j [z^(n-j)] S^(k-1), so column n is one
+matrix-vector product of the earlier columns with psi_1..psi_{n-1}.
+
+A base point at infinity is read in the chart w = 1/z, through the map's
+`reciprocal_chart`.  Psi is evaluated on arrays: each argument is shrunk
+by powers of lambda into the reliable disc of the truncated series, and
+the value is pushed forward with `image_array`, each point read in its
+own chart, so an orbit that meets a pole goes on through infinity.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
-    Moebius,
     RationalMap,
     SpherePoint,
+    _modulus,
+    _reciprocal,
     chordal_distance,
+    chordal_distances,
     critical_points,
-    invert_point,
-    series_quotient,
+    deriv_coeffs,
+    image_array,
+    polyval,
+    sphere_array,
 )
 from .dynamics import (
     NEUTRAL_BAND,
+    _chart_series,
+    _orbit_data,
+    _point_json,
+    _preimage_rows,
     periodic_points,
-    preimage_points,
 )
 from .errors import (
     BasePointPostcritical,
@@ -54,23 +68,14 @@ def local_taylor(f: RationalMap, p, order: int):
     p = SpherePoint.of(p)
     if p.infinite:
         raise PoleAtBasePoint("move infinity to a finite chart before expanding")
-    pv = p.value
     img = f(p)
     if chordal_distance(img, p) > 1e-10:
         raise NotFixed(f"{p} is not fixed: f(p) = {img}")
-    den_at_p = f.den(pv)
     scale = max(1.0, float(np.max(np.abs(f.den.coeffs))))
-    if abs(den_at_p) <= 1e-12 * scale:
+    if abs(f.den(p.value)) <= 1e-12 * scale:
         raise PoleAtBasePoint("base point is a pole in this chart")
-    num_s = f.num.shift(pv).coeffs
-    den_s = f.den.shift(pv).coeffs
-    n = np.zeros(order + 1, dtype=complex)
-    m = np.zeros(order + 1, dtype=complex)
-    n[: min(len(num_s), order + 1)] = num_s[: order + 1]
-    m[: min(len(den_s), order + 1)] = den_s[: order + 1]
-    series = series_quotient(n, m, order)
-    series[0] -= pv
-    if abs(series[0]) > 1e-9 * max(1.0, abs(pv)):
+    series = _chart_series(f, p, p, order)
+    if abs(series[0]) > 1e-9 * max(1.0, abs(p.value)):
         raise NotFixed(f"fixed-point residual {abs(series[0]):.2e}")
     return series[1:]
 
@@ -81,63 +86,48 @@ class LinearizerSeries:
     multiplier: complex
     coeffs: np.ndarray  # psi_1..psi_M, psi_1 = 1
     conv_radius_estimate: float
-    chart_inverted: bool = False  # series built after conjugating by 1/z
-    chart_map: Moebius = None
+    chart_inverted: bool = False  # series read in the chart w = 1/z
 
-    def series_eval(self, z: complex) -> complex:
-        """Truncated series at z (chart-local value)."""
-        acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = (acc + c) * z
-        base = 0.0 if self.chart_inverted else self.base_point.value
-        return base + acc
 
-    def series_deriv(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for k in range(len(self.coeffs), 0, -1):
-            acc = acc * z + k * self.coeffs[k - 1]
-        return acc
+def _chart_map(s: LinearizerSeries, f: RationalMap) -> RationalMap:
+    """f read in the chart of the base point."""
+    return f.reciprocal_chart() if s.chart_inverted else f
+
+
+def _chart_poly(s: LinearizerSeries) -> np.ndarray:
+    """The truncated Psi in the chart of the base point: the base point's
+    coordinate there, then psi_1..psi_M."""
+    base = 0.0 if s.chart_inverted else s.base_point.value
+    return np.concatenate([[base], s.coeffs])
 
 
 def poincare_coeffs(f: RationalMap, p, order: int = DEFAULT_ORDER) -> LinearizerSeries:
     """Linearizer coefficients at a repelling fixed point p."""
     p = SpherePoint.of(p)
-    chart_inverted = p.infinite
-    chart_map = None
-    g = f
-    q = p
-    if chart_inverted:
-        chart_map = Moebius.inversion()
-        g = f.reciprocal_chart()
-        q = SpherePoint.of(0.0)
-    a = local_taylor(g, q, order)
+    g = f.reciprocal_chart() if p.infinite else f
+    a = local_taylor(g, 0.0 if p.infinite else p, order)
     lam = a[0]
     if abs(lam) <= 1.0 + NEUTRAL_BAND:
         raise NotRepelling(f"multiplier {lam} is not repelling")
-    psi = np.zeros(order + 1, dtype=complex)  # psi[j] holds psi_j, psi[0] unused
-    psi[1] = 1.0
-    # S = sum psi_j z^j as a coefficient array; powers rebuilt incrementally
+    power = np.zeros((order + 1, order + 1), dtype=complex)  # [z^j] S^k; row 1 is psi
+    power[1, 1] = 1.0
     for n in range(2, order + 1):
-        s = psi[: n + 1].copy()  # psi_n entry is still zero here
-        rhs = 0.0 + 0.0j
-        power = s.copy()
-        for k in range(2, n + 1):
-            power = np.convolve(power, s)[: n + 1]
-            if k < len(a) + 1 and k - 1 < len(a):
-                rhs += a[k - 1] * power[n]
+        # [z^n] S^k = sum_i [z^i] S^(k-1) psi_(n-i) for k >= 2, as a stack of
+        # row-by-column products: each is one BLAS dot, rounded as in
+        # np.convolve; the a_k terms are summed in order of k
+        psi_reversed = power[1, n::-1].copy()
+        power[2 : n + 1, n] = (power[1:n, None, : n + 1] @ psi_reversed[:, None])[:, 0, 0]
         denom = lam**n - lam
         if abs(denom) < 1e-12:
             raise ResonanceBreakdown(f"resonance at order {n}")
-        psi[n] = rhs / denom
-    coeffs = psi[1:]
-    radius = _radius_estimate(coeffs)
+        power[1, n] = np.cumsum(a[1:n] * power[2 : n + 1, n])[-1] / denom
+    coeffs = power[1, 1:].copy()
     return LinearizerSeries(
         base_point=p,
         multiplier=lam,
         coeffs=coeffs,
-        conv_radius_estimate=radius,
-        chart_inverted=chart_inverted,
-        chart_map=chart_map,
+        conv_radius_estimate=_radius_estimate(coeffs),
+        chart_inverted=p.infinite,
     )
 
 
@@ -165,113 +155,110 @@ def _radius_estimate(coeffs: np.ndarray) -> float:
     return r
 
 
+def poincare_values(s: LinearizerSeries, f: RationalMap, z) -> np.ndarray:
+    """Psi at each of the complex numbers z, as a sphere array: shrink into
+    the reliable disc, evaluate the series, push forward."""
+    w, n = _shrink(s, z)
+    val = polyval(_chart_poly(s), w)
+    g = _chart_map(s, f)
+    for k in range(int(n.max(initial=0))):
+        val[n > k] = image_array(g, val[n > k])
+    if s.chart_inverted:
+        val = _reciprocal(val)
+    val[~np.isfinite(val)] = math.inf
+    return val
+
+
 def poincare_eval(s: LinearizerSeries, f: RationalMap, z) -> SpherePoint:
-    """Global value Psi(z): shrink into the reliable disc, push forward."""
-    g = f.reciprocal_chart() if s.chart_inverted else f
-    w, n = _shrink(s, complex(z))
-    val = SpherePoint.of(s.series_eval(w))
-    for _ in range(n):
-        val = g(val)
-        if val.infinite:
-            break
-    return invert_point(val) if s.chart_inverted else val
+    """Psi(z) as a SpherePoint: `poincare_values` at the one point z."""
+    return SpherePoint.of(complex(poincare_values(s, f, [complex(z)])[0]))
 
 
-def _shrink(s: LinearizerSeries, z: complex):
-    """(w, n) with w = z / lambda^n inside the reliable disc of the series."""
+def _shrink(s: LinearizerSeries, z):
+    """(w, n) with w = z / lambda^n inside the reliable disc of the series,
+    elementwise."""
     r_safe = s.conv_radius_estimate / 4.0
-    n = 0
-    w = z
-    while abs(w) > r_safe and n < 6000:
-        w /= s.multiplier
-        n += 1
-    return w, n
+    w = np.array(z, dtype=complex)
+    n = np.zeros(len(w), dtype=int)
+    while True:
+        big = (_modulus(w) > r_safe) & (n < 6000)
+        if not big.any():
+            return w, n
+        w[big] /= s.multiplier
+        n[big] += 1
 
 
 def functional_equation_residual(
     s: LinearizerSeries, f: RationalMap, samples: int = 100, radius: float = None
 ) -> float:
     """max |Psi(lambda z) - f(Psi(z))| over a circle of given radius."""
-    g = f.reciprocal_chart() if s.chart_inverted else f
     r = (s.conv_radius_estimate / 4.0) if radius is None else radius
-    worst = 0.0
-    for k in range(samples):
-        z = r * cmath.exp(2j * math.pi * (k + 0.5) / samples)
-        lhs = s.series_eval(s.multiplier * z)
-        rhs = g(SpherePoint.of(s.series_eval(z)))
-        if rhs.infinite:
-            continue
-        worst = max(worst, abs(lhs - rhs.value))
-    return worst
+    z = r * np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
+    series = _chart_poly(s)
+    lhs = polyval(series, s.multiplier * z)
+    rhs = image_array(_chart_map(s, f), polyval(series, z))
+    return float(np.max(_modulus(lhs - rhs)[np.isfinite(rhs)], initial=0.0))
 
 
 def valiron_order(s: LinearizerSeries, f: RationalMap):
     """Growth order of Psi: the closed-form value log(deg f)/log|lambda| and a
     max-modulus regression measurement (heuristic for meromorphic Psi)."""
     rho_formula = math.log(f.degree) / math.log(abs(s.multiplier))
-    radii = []
-    logs = []
-    for k in range(4, 44):
-        r = 2.0**k
-        vals = []
-        for j in range(64):
-            z = r * cmath.exp(2j * math.pi * (j + 0.5) / 64)
-            v = poincare_eval(s, f, z)
-            if not v.infinite:
-                vals.append(abs(v.value))
-        if not vals:
+    radii = 2.0 ** np.arange(4, 44)
+    ring = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    vals = poincare_values(s, f, np.outer(radii, ring).ravel()).reshape(len(radii), -1)
+    x, y = [], []
+    for r, row in zip(radii.tolist(), vals):
+        row = row[np.isfinite(row)]
+        if not row.size:
             break
-        m_r = max(vals)
+        m_r = float(np.max(_modulus(row)))
         if not math.isfinite(m_r) or m_r > 1e290:
             break
         if m_r <= math.e:
             continue
         lm = math.log(m_r)
-        radii.append(math.log(r))
-        logs.append(math.log(lm))
+        x.append(math.log(r))
+        y.append(math.log(lm))
         if lm > 600.0:
             break
-    if len(radii) < 3:
-        raise InsufficientRadii(f"only {len(radii)} usable radii")
-    x = np.asarray(radii)
-    y = np.asarray(logs)
-    slope = float(np.polyfit(x, y, 1)[0])
+    if len(x) < 3:
+        raise InsufficientRadii(f"only {len(x)} usable radii")
+    slope = float(np.polyfit(np.asarray(x), np.asarray(y), 1)[0])
     return rho_formula, slope
-
-
-def _orbit_hits(f: RationalMap, start, target, depth: int, tol: float) -> bool:
-    z = SpherePoint.of(start)
-    for _ in range(depth):
-        z = f(z)
-        if chordal_distance(z, target) <= tol:
-            return True
-    return False
 
 
 def _check_not_postcritical(f: RationalMap, p: SpherePoint):
     depth = POSTCRITICAL_CHECK_DEPTH
-    for c in critical_points(f):
-        if chordal_distance(c, p) <= 1e-9 or _orbit_hits(f, c, p, depth, 1e-9):
+    orbit = sphere_array(critical_points(f))
+    for _ in range(depth + 1):
+        if np.any(chordal_distances(p, orbit) <= 1e-9):
             raise BasePointPostcritical(
                 f"base point {p} lies on a critical orbit (depth {depth})"
             )
+        image = image_array(f, orbit)
+        if np.array_equal(image, orbit):  # every orbit has reached a fixed point
+            return
+        orbit = image
 
 
 def _local_invert(s: LinearizerSeries, w: complex):
     """Solve series(z) = w for small z by Newton on the truncated series."""
-    base = 0.0 if s.chart_inverted else s.base_point.value
+    series = _chart_poly(s)
+    slope = deriv_coeffs(series)
+    base = series[0]
     target = w - base
     z = target  # psi_1 = 1 makes this a good first guess
     for _ in range(60):
-        val = s.series_eval(z) - base
-        dv = s.series_deriv(z)
+        val = polyval(series, z) - base
+        dv = polyval(slope, z)
         if abs(dv) < 1e-300:
             return None
         step = (val - target) / dv
         z -= step
         if abs(step) <= 1e-15 * (1.0 + abs(z)):
             break
-    if abs(s.series_eval(z) - w) > 1e-9 * (1.0 + abs(w)):
+    if abs(polyval(series, z) - w) > 1e-9 * (1.0 + abs(w)):
         return None
     return z
 
@@ -279,50 +266,42 @@ def _local_invert(s: LinearizerSeries, w: complex):
 def nonvanishing_witness(s: LinearizerSeries, f: RationalMap, count: int = 5) -> dict:
     """Nonzero solutions of Psi(z) = p and the size of DPsi there.
 
-    Solutions are found by pulling a nontrivial preimage chain of p back into
-    the series disc, inverting locally, and rescaling by powers of the
-    multiplier.  Passes when min |DPsi| > 1e-6 over the witnesses.
+    Solutions are found by pulling nontrivial preimage chains of p back into
+    the series disc, all chains a step at a time, each to the preimage
+    nearest p; inverting locally; and rescaling by powers of the multiplier.
+    Passes when min |DPsi| > 1e-6 over the witnesses.
     """
-    p = s.base_point
-    _check_not_postcritical(f, p)
-    g = f.reciprocal_chart() if s.chart_inverted else f
-    q_chart = invert_point(p) if s.chart_inverted else p
+    _check_not_postcritical(f, s.base_point)
+    g = _chart_map(s, f)
+    q = _chart_poly(s)[0]  # the base point in its chart
     lam = s.multiplier
     r_safe = s.conv_radius_estimate / 8.0
 
+    chains = _preimage_rows(g, np.array([q]))[0][0]
+    chains = chains[chordal_distances(q, chains) > 1e-9]
+    chains = chains[np.lexsort((chains.imag, chains.real))]
+    length = np.ones(len(chains), dtype=int)
+    moving = np.arange(len(chains))
+    for _ in range(400):
+        if not moving.size:
+            break
+        pre = _preimage_rows(g, chains[moving])[0]
+        chains[moving] = pre[np.arange(len(moving)), np.argmin(chordal_distances(q, pre), axis=1)]
+        length[moving] += 1
+        moving = moving[~(_modulus(chains[moving] - q) <= r_safe)]
+    arrived = np.ones(len(chains), dtype=bool)
+    arrived[moving] = False
     base_solutions = []
-    for w1 in preimage_points(g, q_chart):
-        if chordal_distance(w1, q_chart) <= 1e-9:
-            continue
-        chain = [w1]
-        for _ in range(400):
-            pre = preimage_points(g, chain[-1])
-            nxt = min(pre, key=lambda r: chordal_distance(r, q_chart))
-            chain.append(nxt)
-            if not nxt.infinite and abs(nxt.value - q_chart.value) <= r_safe:
-                break
-        tail = chain[-1]
-        if tail.infinite or abs(tail.value - q_chart.value) > r_safe:
-            continue
-        zeta = _local_invert(s, tail.value)
-        if zeta is None:
-            continue
-        base_solutions.append(lam ** len(chain) * zeta)
+    for tail, k in zip(chains[arrived].tolist(), length[arrived].tolist()):
+        zeta = _local_invert(s, tail)
+        if zeta is not None:
+            base_solutions.append(lam**k * zeta)
     if not base_solutions:
         return {"passed": False, "solutions": [], "min_abs_dpsi": 0.0}
+    m = len(base_solutions)
+    solutions = [base_solutions[i % m] * lam ** (i // m) for i in range(count)]
 
-    solutions = []
-    k = 0
-    while len(solutions) < count:
-        for q in base_solutions:
-            solutions.append(q * lam**k)
-            if len(solutions) >= count:
-                break
-        k += 1
-
-    derivs = []
-    for z in solutions:
-        derivs.append(abs(_psi_derivative(s, g, z)))
+    derivs = _modulus(_psi_derivative(s, g, np.array(solutions))).tolist()
     min_d = min(derivs)
     return {
         "passed": min_d > 1e-6,
@@ -332,22 +311,22 @@ def nonvanishing_witness(s: LinearizerSeries, f: RationalMap, count: int = 5) ->
     }
 
 
-def _psi_derivative(s: LinearizerSeries, g: RationalMap, z: complex) -> complex:
-    """DPsi(z) via DPsi(lam^n w) = (g^n)'(Psi(w)) DPsi(w) / lam^n.
+def _psi_derivative(s: LinearizerSeries, g: RationalMap, z: np.ndarray) -> np.ndarray:
+    """DPsi at the points z via DPsi(lam^n w) = (g^n)'(Psi(w)) DPsi(w) / lam^n.
 
-    The chain rule is accumulated in plane coordinates (the witness chains
-    stay finite); a pole on the orbit makes the plane derivative blow up,
-    reported as infinity."""
+    (g^n)' is the plane chain rule of `_orbit_data` (the witness chains
+    stay finite); a pole on the orbit makes it blow up, reported as
+    infinity."""
     w, n = _shrink(s, z)
-    dval = s.series_deriv(w)
-    pt = SpherePoint.of(s.series_eval(w))
-    for _ in range(n):
-        nxt = g(pt)
-        if pt.infinite or nxt.infinite:
-            return complex(math.inf, 0.0)
-        dval *= g.derivative_at(pt.value)
-        pt = nxt
-    return dval / s.multiplier**n
+    series = _chart_poly(s)
+    out = polyval(deriv_coeffs(series), w)
+    start = polyval(series, w)
+    for k in sorted(set(n.tolist())):
+        at = n == k
+        chain = _orbit_data(g, start[at], k)[1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            out[at] = np.where(np.isfinite(chain), out[at] * chain / s.multiplier**k, math.inf)
+    return out
 
 
 def periodic_shadow_witness(s: LinearizerSeries, f: RationalMap, n: int, q_solution=None) -> dict:
@@ -361,24 +340,18 @@ def periodic_shadow_witness(s: LinearizerSeries, f: RationalMap, n: int, q_solut
     lam = s.multiplier
     target = poincare_eval(s, f, q_solution * lam ** (-n))
     radius = 10.0 * abs(q_solution) * abs(lam) ** (-n)
-    orbits = periodic_points(f, n)
-    best = None
-    for orbit in orbits:
-        for p in orbit.points:
-            dist = chordal_distance(p, target)
-            if best is None or dist < best["distance"]:
-                best = {
-                    "distance": dist,
-                    "point": [p.re, p.im] if not p.infinite else "inf",
-                    "stability": orbit.stability,
-                    "multiplier": [orbit.multiplier.real, orbit.multiplier.imag],
-                }
-    if best is None:
+    points = [(p, o) for o in periodic_points(f, n) for p in o.points]
+    if not points:
         return {"found": False, "reason": f"no period-{n} orbits"}
-    found = best["distance"] <= radius and best["stability"] == "repelling"
+    dist = chordal_distances(target, sphere_array([p for p, _ in points]))
+    i = int(np.argmin(dist))
+    (p, orbit), distance = points[i], float(dist[i])
     return {
-        "found": found,
+        "found": distance <= radius and orbit.stability == "repelling",
         "radius": radius,
-        "target": [target.re, target.im] if not target.infinite else "inf",
-        **best,
+        "target": _point_json(target),
+        "distance": distance,
+        "point": _point_json(p),
+        "stability": orbit.stability,
+        "multiplier": [orbit.multiplier.real, orbit.multiplier.imag],
     }

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Poly, RationalMap, deriv_coeffs, polyval
+from .algebra import INF, Poly, RationalMap, deriv_coeffs, polyval
+from .dynamics import cycle_multiplier
 from .errors import (
     EX3ConstructionFailed,
     NewtonDiverged,
@@ -60,6 +61,8 @@ class CriticalValueSpec:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.values) < 1:
             raise SpecViolation("need at least one critical value")
+        if not all(map(math.isfinite, self.values)):
+            raise SpecViolation(f"critical values must be finite: {self.values}")
         if not check_sign_condition(self.values):
             raise SpecViolation(f"sign condition fails for {self.values}")
         # repeated values only as adjacent equal pairs (double critical point)
@@ -350,7 +353,7 @@ def _build_ex3(p: float, a: float, eps: float) -> ExampleInstance:
     if not K > 1.0:
         raise EX3ConstructionFailed("depth-2 branch needs K > 1")
     g = RationalMap([0.0, -K * a, K], [-p, 1.0])
-    gp1 = g.derivative_at(1.0 + 0.0j).real
+    gp1 = cycle_multiplier(g, [1.0]).real
     if not gp1 > 1.0:
         raise EX3ConstructionFailed(f"g'(1) = {gp1} <= 1")
 
@@ -417,7 +420,7 @@ def _verify_ex1(inst: ExampleInstance) -> dict:
     c = inst.params["c"]
     f = inst.map
     out = {}
-    lam_inf = _multiplier_at_infinity(f)
+    lam_inf = cycle_multiplier(f, [INF])
     out["attracting_infinity_multiplier_c"] = {
         "passed": abs(lam_inf - c) <= 1e-10,
         "multiplier": [lam_inf.real, lam_inf.imag],
@@ -430,11 +433,6 @@ def _verify_ex1(inst: ExampleInstance) -> dict:
     if abs(c) < 0.5:
         out["full_horseshoe"] = _verify_ex1_horseshoe(f, c)
     return out
-
-
-def _multiplier_at_infinity(f: RationalMap) -> complex:
-    g = f.reciprocal_chart()
-    return g.derivative_at(0.0 + 0.0j)
 
 
 def _verify_ex1_horseshoe(f: RationalMap, c: float) -> dict:
@@ -492,7 +490,7 @@ def _verify_ex2(inst: ExampleInstance) -> dict:
     f = inst.map
     c = inst.params["c"]
     out = {}
-    lam = _multiplier_at_infinity(f)
+    lam = cycle_multiplier(f, [INF])
     out["parabolic_infinity"] = {
         "passed": abs(lam - 1.0) <= 1e-9,
         "multiplier": [lam.real, lam.imag],

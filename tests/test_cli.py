@@ -8,6 +8,9 @@ from circledyn.cli import main
 from circledyn.realjulia import random_valid_spec
 
 
+LATTES = "(z^4+2*z^2+1)/(4*z^3-4*z)"
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -326,6 +329,32 @@ def test_near_line_constructed_polynomial_classifies(tmp_path, capsys):
         pytest.param(["classify", "--map", "z^2-2", "--tol=-1"], {}, id="tol-negative"),
         pytest.param(["classify", "--map", "z^2-2", "--seed=-1"], {}, id="classify-seed-negative"),
         pytest.param(["julia", "--map", "z^2-2", "--out", "{dir}/c.csv", "--seed=-1"], {}, id="julia-seed-negative"),
+        pytest.param(["poincare", "--map", "z^2", "--at", "foo", "--out", "{dir}/p.json"], {}, id="at-not-a-number"),
+        # the Lattes map linearizes at infinity, so a point read as infinity would succeed
+        pytest.param(["poincare", "--map", LATTES, "--at", "nan", "--out", "{dir}/p.json"], {}, id="at-nan"),
+        pytest.param(["poincare", "--map", LATTES, "--at", "1,inf", "--out", "{dir}/p.json"], {}, id="at-infinite-part"),
+        pytest.param(["construct", "--values", "a,b", "--out", "{dir}/c.json"], {}, id="values-not-numbers"),
+        pytest.param(
+            ["construct", "--spec-file", "{dir}/s.json", "--out", "{dir}/c.json"],
+            {"s.json": '{"critical_values": ["a"]}'},
+            id="spec-value-not-a-number",
+        ),
+        pytest.param(
+            ["construct", "--spec-file", "{dir}/s.json", "--out", "{dir}/c.json"],
+            {"s.json": '{"critical_values": 5}'},
+            id="spec-values-not-a-list",
+        ),
+        pytest.param(
+            ["examples", "--file", "{dir}/e.json", "--out", "{dir}/x.json"],
+            {"e.json": '{"family": "EX1", "c": "x"}'},
+            id="example-param-not-a-number",
+        ),
+        pytest.param(
+            ["examples", "--file", "{dir}/e.json", "--out", "{dir}/x.json"],
+            {"e.json": '{"family": 3}'},
+            id="example-family-not-a-string",
+        ),
+        pytest.param(["julia", "--map", "z^2-2", "--out", "{dir}/c.csv", "--size", "0"], {}, id="julia-size-0"),
     ],
 )
 def test_bad_outside_input_is_a_usage_error(args, files, tmp_path, capsys):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from circledyn import INF, parse_map
+from circledyn.algebra import sphere_array
+from circledyn.classifier import lattes_doubling_map
+from circledyn.dynamics import periodic_points
 from circledyn.errors import BasePointPostcritical, NotFixed, NotRepelling
 from circledyn.linearizer import (
     functional_equation_residual,
@@ -12,8 +15,10 @@ from circledyn.linearizer import (
     local_taylor,
     poincare_coeffs,
     poincare_eval,
+    poincare_values,
     valiron_order,
 )
+from circledyn.realjulia import build_example
 
 
 def test_local_taylor_squaring():
@@ -43,10 +48,13 @@ def test_local_taylor_guards():
 
 
 def test_poincare_coeffs_exponential():
-    s = poincare_coeffs(parse_map("z^2"), 1.0, 20)
-    expect = np.array([1.0 / math.factorial(n) for n in range(1, 21)])
-    np.testing.assert_allclose(s.coeffs, expect, atol=1e-10)
-    assert s.coeffs[0] == 1.0
+    # e^z linearizes z^2 at 1: psi_n = 1/n!, also at the benchmark's order 128
+    for order in (20, 128):
+        s = poincare_coeffs(parse_map("z^2"), 1.0, order)
+        expect = np.array([1.0 / math.factorial(n) for n in range(1, order + 1)])
+        np.testing.assert_allclose(s.coeffs, expect, atol=1e-10)
+        np.testing.assert_allclose(s.coeffs, expect, rtol=1e-13, atol=0.0)
+        assert s.coeffs[0] == 1.0
 
 
 def test_poincare_coeffs_cosh_family():
@@ -93,6 +101,61 @@ def test_poincare_eval_matches_pushforward():
             if base.infinite or stepped.infinite:
                 continue
             assert abs(base.value - stepped.value) < 1e-6 * (1 + abs(base.value))
+
+
+def _ex1_at_repelling_fixed_point():
+    f = build_example("EX1", c=0.6).map
+    (p,) = [p for o in periodic_points(f, 1) for p in o.points if not p.infinite and p.re < 0]
+    assert p.re == pytest.approx(-2.1504, abs=1e-4)
+    return f, p
+
+
+each_base_point = pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (parse_map("z^2"), 1.0),
+        lambda: (parse_map("z^2-2"), -1.0),
+        lambda: (lattes_doubling_map(), INF),
+        _ex1_at_repelling_fixed_point,  # a rational map: orbits may pass its pole
+    ],
+    ids=["z^2 at 1", "z^2-2 at -1", "lattes at inf", "EX1(0.6) at -2.1504"],
+)
+
+
+def _convolution_coeffs(a, order):
+    """psi_1..psi_order, re-convolving the powers of S for every n."""
+    lam = a[0]
+    psi = np.zeros(order + 1, dtype=complex)
+    psi[1] = 1.0
+    for n in range(2, order + 1):
+        power = psi[: n + 1].copy()
+        rhs = 0.0
+        for k in range(2, n + 1):
+            power = np.convolve(power, psi[: n + 1])[: n + 1]
+            rhs += a[k - 1] * power[n]
+        psi[n] = rhs / (lam**n - lam)
+    return psi[1:]
+
+
+@each_base_point
+def test_poincare_coeffs_equal_the_convolution_recursion(case):
+    f, p = case()
+    s = poincare_coeffs(f, p, 40)
+    g = f.reciprocal_chart() if s.chart_inverted else f
+    a = local_taylor(g, 0.0 if s.chart_inverted else p, 40)
+    # the same products, summed in the same order
+    np.testing.assert_array_equal(s.coeffs, _convolution_coeffs(a, 40))
+
+
+@each_base_point
+def test_poincare_values_on_an_array_equal_pointwise_eval(case):
+    f, p = case()
+    s = poincare_coeffs(f, p, 64)
+    rng = np.random.default_rng(17)
+    z = np.exp(rng.uniform(math.log(1e-2), math.log(1e3), 64) + 2j * math.pi * rng.random(64))
+    values = poincare_values(s, f, z)
+    assert values.shape == (64,)
+    np.testing.assert_array_equal(values, sphere_array([poincare_eval(s, f, q) for q in z]))
 
 
 def test_global_functional_equation_with_eval():
@@ -180,9 +243,6 @@ def test_shadow_witness_low_period_typically_misses():
 
 def test_poincare_at_infinity_base_point():
     # base point at infinity goes through the reciprocal chart
-    lat = None
-    from circledyn.classifier import lattes_doubling_map
-
     lat = lattes_doubling_map()
     s = poincare_coeffs(lat, INF, 32)
     assert s.chart_inverted

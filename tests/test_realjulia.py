@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -38,6 +40,14 @@ def test_spec_rejects_bad_values():
         CriticalValueSpec((-0.5, -1.5))
     with pytest.raises(SpecViolation):
         CriticalValueSpec((0.0, 0.0, 0.0, 0.0))  # triple repetition
+
+
+@pytest.mark.parametrize("values", [(math.inf,), (math.nan,), (-math.inf, 2.0), (-1.0, math.inf)])
+def test_spec_rejects_non_finite_values(values):
+    # each passes the sign condition, so only this check keeps it from the solve
+    assert check_sign_condition(values)
+    with pytest.raises(SpecViolation, match="finite"):
+        CriticalValueSpec(values)
 
 
 def test_construct_degree2_double_cover_of_one():
