@@ -488,9 +488,7 @@ def _period_seeds(f: RationalMap, n: int, m: int) -> np.ndarray:
     if root is None:
         base = 2.0 * np.exp(2j * np.pi * np.arange(m) / m)
     else:
-        tree = np.array([root])
-        for _ in range(n):
-            tree = _preimage_rows(f, tree)[0].reshape(-1)
+        tree = np.concatenate([pts for k, pts, _ in _tree_batches(f, root, depth=n) if k == n])
         lower = [o for k in range(1, n) if n % k == 0 for o in _period_solutions(f, k)]
         free = np.isfinite(tree)
         drop = np.flatnonzero(~free).tolist()
@@ -745,9 +743,10 @@ def _monic_roots(c):
     A batch of CLOSED_FORM_ROWS or more cubics or quartics takes the closed
     forms (Cardano, Ferrari), each root polished by one Newton step kept
     only where it lowers |P|.  A row passes if every root w has the
-    backward error |P(w)| <= 1e-12 sum |c_k| |w|^k; rows that fail, other
-    degrees and narrower batches, where LAPACK is cheaper per row, take the
-    companion eigensolve."""
+    backward error |P(w)| <= 1e-12 (sum |c_k| |w|^k + eps max |c_k|); the
+    absolute floor keeps an exact root 0, where the sum vanishes.  Rows that
+    fail, other degrees and narrower batches, where LAPACK is cheaper per
+    row, take the companion eigensolve."""
     closed = {3: _cubic_rows, 4: _quartic_rows}.get(c.shape[1] - 1)
     if closed is None or len(c) < CLOSED_FORM_ROWS:
         return _companion_eigvals(c)
@@ -759,7 +758,8 @@ def _monic_roots(c):
         better = np.abs(polished_val) < np.abs(val)
         w = np.where(better, polished, w)
         val = np.where(better, polished_val, val)
-        size = _horner(np.abs(c), np.abs(w))[0]
+        floor = np.finfo(float).eps * np.max(np.abs(c), axis=1)[:, None]
+        size = _horner(np.abs(c), np.abs(w))[0] + floor
         ok = np.all(np.abs(val) <= 1e-12 * size, axis=1)
     if not np.all(ok):
         w[~ok] = _companion_eigvals(c[~ok])
@@ -801,15 +801,12 @@ def _preimage_rows(f, z):
     return roots, ok
 
 
-def _sampler_points(f: RationalMap, size: int, seed: int, cloud: bool = False) -> np.ndarray:
-    """Batched backward sampling from repelling low-period points.
-
-    A cloud of a degree-3 or degree-4 map walks CLOSED_FORM_ROWS chains, so
-    that every step takes the closed-form roots of `_monic_roots`.  Other
-    walks, `backward_sample`'s among them, run at most 64 chains, which take
-    the companion eigensolve (or the quadratic formula at degree 2)."""
-    wide = cloud and f.degree in (3, 4)
-    chains = CLOSED_FORM_ROWS if wide else int(min(64, max(8, size // 32 + 1)))
+def _sampler_points(f: RationalMap, size: int, seed: int) -> np.ndarray:
+    """Batched backward sampling from repelling low-period points: at most
+    64 chains, uniform preimage choice, each after a burn-in of BURN_IN
+    steps.  The chains take the companion eigensolve (or the quadratic
+    formula at degree 2)."""
+    chains = int(min(64, max(8, size // 32 + 1)))
     rng = np.random.default_rng(seed)
     z = np.resize(sphere_array(_start_candidates(f)), chains)
     out = np.empty((int(np.ceil(size / chains)), chains), dtype=complex)
@@ -825,30 +822,68 @@ def _sampler_points(f: RationalMap, size: int, seed: int, cloud: bool = False) -
     return out.reshape(-1)[:size]
 
 
+def _tree_batches(f: RationalMap, root, width=math.inf, seed: int = 0, depth=None):
+    """The backward tree f^-1(root), f^-2(root), ... up to level `depth`, as
+    (level, points, last) per batch of at most PERIOD_DEGREE_CAP // d rows
+    of the level above, so a period seed's level is one batch; `last` marks
+    a level's final batch.  Of a level of more than `width` points, a seeded
+    random subset of `width` is expanded."""
+    rng = np.random.default_rng(seed)
+    d = f.degree
+    rows = PERIOD_DEGREE_CAP // d
+    level = np.array([root], dtype=complex)
+    k = 0
+    while depth is None or k < depth:
+        k += 1
+        wide = d * len(level) > width
+        keep = np.sort(rng.choice(d * len(level), width, replace=False)) if wide else None
+        parts = []
+        for i0 in range(0, len(level), rows):
+            pts = _preimage_rows(f, level[i0 : i0 + rows])[0].reshape(-1)
+            yield k, pts, i0 + rows >= len(level)
+            if wide:
+                lo, hi = np.searchsorted(keep, [d * i0, d * (i0 + rows)])
+                pts = pts[keep[lo:hi] - d * i0]
+            parts.append(pts)
+        level = np.concatenate(parts)
+
+
 def julia_points(f: RationalMap, size: int, seed: int) -> np.ndarray:
-    """Union of backward runs from repelling low-period points, deduplicated
-    on a grid of pitch 1e-4 (both charts), as a sphere array.  Holds at most
-    `size` points, fewer when the grid saturates (thin Cantor Julia sets).
+    """Points of J from the backward tree of the repelling point
+    `_tree_root` (`_tree_batches`, levels thinned to max(size, 512) points),
+    deduplicated on a grid of pitch 1e-4 (both charts), as a sphere array.
+    J is the closure of the tree, whose levels equidistribute for the
+    measure of maximal entropy, so nothing is burnt in.
 
     Each batch adds, in batch order, the points of the grid cells it is
-    first to reach, until `size` cells are filled; the points come out
-    sorted by `SpherePoint.sort_key`."""
-    seen = np.zeros(0, dtype=np.int64)
+    first to reach.  The tree stops at `size` points, or with fewer when the
+    grid saturates (thin Cantor Julia sets): after two full-width levels in
+    a row that each add fewer than max(1, size // 200) cells.  The points
+    come out sorted by `SpherePoint.sort_key`."""
+    root = _tree_root(f)
+    if root is None:
+        raise PreimageSolveFailed("no repelling low-period point to grow the tree from")
+    width = max(size, 512)
+    seen = np.array([np.iinfo(np.int64).max])  # sorted, with a sentinel past every cell
     kept = [np.zeros(0, dtype=complex)]
-    count = 0
-    rounds = 0
-    added = size
-    while count < size and rounds < 40 and added >= max(1, size // 200):
-        batch = _sampler_points(f, max(size, 512), seed=seed + 1009 * rounds, cloud=True)
+    count = quiet = added = grown = 0
+    for _, batch, last in _tree_batches(f, root, width, seed):
         cells, first = np.unique(_grid_cells(batch), return_index=True)
-        new = ~np.isin(cells, seen)
-        # the cells beyond the cut are marked seen too: the loop ends there
-        seen = np.concatenate([seen, cells[new]])
+        at = np.searchsorted(seen, cells)
+        new = seen[at] != cells
+        seen = np.insert(seen, at[new], cells[new])
         fresh = np.sort(first[new])[: size - count]
         kept.append(batch[fresh])
-        added = len(fresh)
-        count += added
-        rounds += 1
+        count += len(fresh)
+        added += len(fresh)
+        grown += len(batch)
+        if count >= size:
+            break
+        if last:
+            quiet = quiet + 1 if grown >= width and added < max(1, size // 200) else 0
+            if quiet == 2:
+                break
+            added = grown = 0
     z = np.concatenate(kept)
     finite = np.isfinite(z)
     order = np.lexsort((np.where(finite, z.imag, 0.0), np.where(finite, z.real, math.inf)))

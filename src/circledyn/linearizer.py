@@ -191,9 +191,12 @@ def _shrink(s: LinearizerSeries, z):
 def functional_equation_residual(
     s: LinearizerSeries, f: RationalMap, samples: int = 100, radius: float = None
 ) -> float:
-    """max |Psi(lambda z) - f(Psi(z))| over a circle of given radius."""
-    r = (s.conv_radius_estimate / 4.0) if radius is None else radius
-    z = r * np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
+    """max |Psi(lambda z) - f(Psi(z))| over a circle of given radius, by
+    default r / max(4, 2|lambda|) for the radius estimate r, so that lambda z
+    stays inside r/2."""
+    if radius is None:
+        radius = s.conv_radius_estimate / max(4.0, 2.0 * abs(s.multiplier))
+    z = radius * np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
     series = _chart_poly(s)
     lhs = polyval(series, s.multiplier * z)
     rhs = image_array(_chart_map(s, f), polyval(series, z))

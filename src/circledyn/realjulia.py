@@ -14,6 +14,7 @@ is real only if its critical points are simple: a double critical point
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -295,14 +296,17 @@ class ExampleInstance:
 
 
 def build_example(family: str, **params) -> ExampleInstance:
+    """The example `family` (EX1, EX2 or EX3) with exactly its parameters."""
     family = family.upper()
-    if family == "EX1":
-        return _build_ex1(**params)
-    if family == "EX2":
-        return _build_ex2(**params)
-    if family == "EX3":
-        return _build_ex3(**params)
-    raise ParamOutOfRange(f"unknown example family {family!r}")
+    build = {"EX1": _build_ex1, "EX2": _build_ex2, "EX3": _build_ex3}.get(family)
+    if build is None:
+        raise ParamOutOfRange(f"unknown example family {family!r}")
+    names = list(inspect.signature(build).parameters)
+    if sorted(names) != sorted(params):
+        raise ParamOutOfRange(
+            f"{family} takes the parameters {', '.join(names)}; given: {', '.join(params) or 'none'}"
+        )
+    return build(**params)
 
 
 def _build_ex1(c: float) -> ExampleInstance:

@@ -355,6 +355,18 @@ def test_near_line_constructed_polynomial_classifies(tmp_path, capsys):
             id="example-family-not-a-string",
         ),
         pytest.param(["julia", "--map", "z^2-2", "--out", "{dir}/c.csv", "--size", "0"], {}, id="julia-size-0"),
+        pytest.param(["examples", "--family", "EX1", "--out", "{dir}/x.json"], {}, id="example-family-no-param"),
+        pytest.param(["classify", "--example", "EX1", "--out", "{dir}/r.json"], {}, id="classify-example-no-param"),
+        pytest.param(
+            ["classify", "--example", "EX3", "--p", "0.2", "--a", "0.5", "--out", "{dir}/r.json"],
+            {},
+            id="classify-example-missing-param",
+        ),
+        pytest.param(
+            ["examples", "--file", "{dir}/e.json", "--out", "{dir}/x.json"],
+            {"e.json": '{"family": "EX1", "c": 0.25, "q": 1}'},
+            id="example-unknown-param",
+        ),
     ],
 )
 def test_bad_outside_input_is_a_usage_error(args, files, tmp_path, capsys):

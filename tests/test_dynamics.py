@@ -139,11 +139,10 @@ def test_constructed_cantor_polynomials_meet_the_dynatomic_count(k, d, n_max):
         assert len(periodic_points(f, n)) == _dynatomic_cycles(d, n), n
 
 
-def _backward_tree(f, n):
-    tree = np.array([dynamics._tree_root(f)])
-    for _ in range(n):
-        tree = dynamics._preimage_rows(f, tree)[0].reshape(-1)
-    return tree
+def _tree_level(f, depth):
+    """Level `depth` of the backward tree of `_tree_root`, whole."""
+    root = dynamics._tree_root(f)
+    return np.concatenate([pts for k, pts, _ in dynamics._tree_batches(f, root, depth=depth) if k == depth])
 
 
 @pytest.mark.parametrize(
@@ -169,7 +168,7 @@ def test_period_seed_surplus_is_trimmed_at_parabolic_infinity():
     # for the repelling fixed points and one, the farthest out, for infinity
     f = parse_map(EX2_MAP)
     m = sum(len(o.points) for o in periodic_points(f, 3))
-    tree = _backward_tree(f, 3)
+    tree = _tree_level(f, 3)
     assert (len(tree), m) == (27, 24)
     seeds = dynamics._period_seeds(f, 3, m)
     assert np.max(np.abs(seeds)) < np.max(np.abs(tree)) - 1.0
@@ -798,6 +797,30 @@ def test_closed_form_keeps_random_double_roots_without_the_eigensolve(monkeypatc
     assert max(_multiset_error(w, r) for w, r in zip(roots, want)) <= 1e-6
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_closed_form_keeps_an_exact_root_zero_without_the_eigensolve(monkeypatch, d):
+    # random rows with a simple root 0, and at degree 3 the preimages of the
+    # fixed point 0 of z^3 - 3z, which its backward tree meets on every
+    # level: the relative bound vanishes there, and its absolute floor keeps
+    # the rows
+    monkeypatch.setattr(dynamics, "_companion_eigvals", None)
+    rng = np.random.default_rng(6)
+    rows = dynamics.CLOSED_FORM_ROWS
+    others = rng.standard_normal((rows, d - 1)) + 1j * rng.standard_normal((rows, d - 1))
+    want = np.concatenate([np.zeros((rows, 1)), others], axis=1)
+    if d == 3:
+        want[0] = [0.0, math.sqrt(3.0), -math.sqrt(3.0)]
+    c = np.array([np.poly(r)[::-1] for r in want])
+    c[:, 0] = 0.0
+    roots = dynamics._monic_roots(c)
+    assert np.all(np.min(np.abs(roots), axis=1) < 1e-15)
+    assert max(_multiset_error(w, r) for w, r in zip(roots, want)) <= 1e-9
+    val = dynamics._horner(c, roots)[0]
+    size = dynamics._horner(np.abs(c), np.abs(roots))[0]
+    floor = np.finfo(float).eps * np.max(np.abs(c), axis=1)[:, None]
+    assert np.all(np.abs(val) <= 1e-12 * (size + floor))
+
+
 @pytest.mark.parametrize(
     "f, z",
     [
@@ -833,22 +856,50 @@ def _arcsine_ks_distance(x) -> float:
     return float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
 
 
-@pytest.mark.parametrize("expr", ["z^3-3*z", "z^4-4*z^2+2"])
-@pytest.mark.parametrize("cloud", [False, True], ids=["narrow", "wide"])
-def test_backward_walk_samples_the_arcsine_measure(expr, cloud):
-    # both Chebyshev maps have J = [-2, 2] with the arcsine law as their
-    # measure of maximal entropy.  Distances at seed 1, narrow / wide walk:
-    # z^3-3z 0.0042 / 0.0064, z^4-4z^2+2 0.0047 / 0.0125
-    z = dynamics._sampler_points(parse_map(expr), 20000, seed=1, cloud=cloud)
-    assert np.max(np.abs(z.imag)) < 1e-12
-    assert _arcsine_ks_distance(z.real) < 0.02
+# the level L of the tree whose d^L points the arcsine test reads
+ARCSINE_LEVELS = {"z^3-3*z": 9, "z^4-4*z^2+2": 7, "z^2-2": 14}
 
 
-@pytest.mark.parametrize("expr", ["z^2-2", "z^5-5*z^3+5*z"])
-def test_clouds_of_other_degrees_keep_the_narrow_walk(expr):
+@pytest.mark.parametrize("expr", list(ARCSINE_LEVELS))
+@pytest.mark.parametrize("walk", ["narrow", "tree"])
+def test_backward_walk_samples_the_arcsine_measure(expr, walk):
+    # the three Chebyshev maps have J = [-2, 2] with the arcsine law as their
+    # measure of maximal entropy.  Distances of the walk at seed 1 / of the
+    # whole tree level: z^3-3z 0.0042 / 2.5e-5, z^4-4z^2+2 0.0047 / 3.7e-5,
+    # z^2-2 0.0033 / 4.1e-5
     f = parse_map(expr)
-    wide = dynamics._sampler_points(f, 3000, seed=1, cloud=True)
-    assert np.array_equal(wide, dynamics._sampler_points(f, 3000, seed=1))
+    if walk == "narrow":
+        z, tol = dynamics._sampler_points(f, 20000, seed=1), 0.02
+    else:
+        z, tol = _tree_level(f, ARCSINE_LEVELS[expr]), 1e-3
+        assert len(z) == f.degree ** ARCSINE_LEVELS[expr]
+    assert np.max(np.abs(z.imag)) < 1e-12
+    assert _arcsine_ks_distance(z.real) < tol
+
+
+def test_tree_levels_wider_than_the_width_are_thinned_to_a_seeded_subset():
+    f = parse_map("z^3-3*z")
+    root = dynamics._tree_root(f)
+
+    def levels(seed):
+        out = {}
+        for k, pts, _ in dynamics._tree_batches(f, root, width=100, seed=seed, depth=7):
+            out.setdefault(k, []).append(pts)
+        return [np.concatenate(out[k]) for k in sorted(out)]
+
+    got = levels(3)
+    # 3, 9, 27, 81 whole, 243 thinned to 100 before it is expanded, and so on
+    assert [len(z) for z in got] == [3, 9, 27, 81, 243, 300, 300]
+    for upper, lower in zip(got, got[1:]):
+        # every point of a level is a preimage of a point of the level above
+        images = lower**3 - 3.0 * lower
+        assert np.max(np.min(np.abs(images[:, None] - upper[None, :]), axis=1)) < 1e-9
+    # the 100 points expanded are distinct points of the level above
+    expanded = np.unique(np.round((got[5] ** 3 - 3.0 * got[5]).real, 9))
+    assert len(expanded) == 100 and np.all(np.isin(expanded, np.round(got[4].real, 9)))
+    again, other = levels(3), levels(4)
+    assert all(np.array_equal(x, y) for x, y in zip(got, again))
+    assert np.array_equal(got[4], other[4]) and not np.array_equal(got[5], other[5])
 
 
 def test_period_solves_never_reach_the_closed_forms(monkeypatch):
@@ -861,68 +912,107 @@ def test_period_solves_never_reach_the_closed_forms(monkeypatch):
     assert real_multiplier_test(lattes_doubling_map(), 4)["passed"]
 
 
-def _dict_loop_cloud(batch_of_round, size):
-    """julia_cloud's deduplication as a dict of grid cells, point by point:
-    the reference for the array version."""
+def _dict_loop_cloud(levels, size):
+    """julia_points' deduplication and stopping rule as a dict of grid
+    cells, point by point: the reference for the array version.  `levels`
+    lists each level's batches; returns the cloud and the levels read."""
     seen = {}
-    rounds = 0
-    added = size
-    while len(seen) < size and rounds < 40 and added >= max(1, size // 200):
-        batch = batch_of_round(rounds)
-        inverted, w = chart_split(batch)
-        cells = zip(inverted, np.round(w.real / 1e-4), np.round(w.imag / 1e-4))
+    quiet = 0
+    read = 0
+    for level in levels:
+        read += 1
         before = len(seen)
-        for z, key in zip(batch, cells):
+        batch = np.concatenate([np.asarray(b, dtype=complex) for b in level])
+        inverted, w = chart_split(batch)
+        for z, key in zip(batch, zip(inverted, np.round(w.real / 1e-4), np.round(w.imag / 1e-4))):
             if key not in seen:
                 seen[key] = z
             if len(seen) >= size:
                 break
-        added = len(seen) - before
-        rounds += 1
+        if len(seen) >= size:
+            break
+        full = len(batch) >= max(size, 512)
+        quiet = quiet + 1 if full and len(seen) - before < max(1, size // 200) else 0
+        if quiet == 2:
+            break
     pts = [
         INF if not (math.isfinite(z.real) and math.isfinite(z.imag)) else SpherePoint.of(z)
         for z in seen.values()
     ]
     pts.sort(key=lambda p: p.sort_key())
-    return pts
+    return pts, read
 
 
 def _cloud_bits(cloud):
     return [(p.infinite, repr(p.re), repr(p.im)) for p in cloud]
 
 
-CRAFTED_ROUNDS = [
+CRAFTED_LEVELS = [
     # infinity, then a huge value in its cell; -0.0 and 0.0 in one cell;
-    # two values in one cell; the reciprocal chart beyond |z| = 1
-    [complex(math.inf, 0.0), 1e300, complex(-0.0, -0.0), 0.0, 0.5, 0.50000001, 3.0, -1e-5j],
-    [-2e300j, 0.5, 2.0, 3.0 + 1e-9j, complex(0.0, -0.0), 0.25 + 0.25j, 1e-5j, complex(-0.0, 0.3), 0.2j],
-    [0.25 + 0.25j, 2.0],
-]
+    # two values in one cell; the reciprocal chart beyond |z| = 1.  The
+    # first level comes in two batches.
+    [
+        [complex(math.inf, 0.0), 1e300, complex(-0.0, -0.0), 0.0, 0.5, 0.50000001, 3.0, -1e-5j],
+        [-2e300j, 0.5, 2.0, 3.0 + 1e-9j, complex(0.0, -0.0), 0.25 + 0.25j, 1e-5j, complex(-0.0, 0.3), 0.2j],
+    ],
+    [[0.25 + 0.25j, 2.0]],
+    # full-width levels of 600 points: one new cell, then four, then none
+    [[2.0] * 599 + [7.0]],
+    [[8.0, 9.0, 10.0, 11.0] + [2.0] * 596],
+] + [[[2.0] * 600]] * 6
 
 
 @pytest.mark.parametrize("size", [3, 7, 11, 600])
 def test_julia_cloud_dedup_equals_the_dict_loop_on_crafted_batches(monkeypatch, size):
-    def batch_of_round(r):
-        return np.array(CRAFTED_ROUNDS[min(r, len(CRAFTED_ROUNDS) - 1)], dtype=complex)
+    read = []
 
-    monkeypatch.setattr(
-        dynamics, "_sampler_points", lambda f, n, seed, cloud: batch_of_round((seed - 5) // 1009)
-    )
+    def crafted(f, root, width, seed):
+        for k, level in enumerate(CRAFTED_LEVELS, start=1):
+            read.append(k)
+            for i, batch in enumerate(level):
+                yield k, np.array(batch, dtype=complex), i == len(level) - 1
+
+    monkeypatch.setattr(dynamics, "_tree_batches", crafted)
     got = julia_cloud(parse_map("z^2"), size, seed=5)
-    assert _cloud_bits(got) == _cloud_bits(_dict_loop_cloud(batch_of_round, size))
+    want, levels = _dict_loop_cloud(CRAFTED_LEVELS, size)
+    assert _cloud_bits(got) == _cloud_bits(want)
+    assert len(read) == levels
+    if size == 600:
+        # one quiet full-width level, a busy one, then two quiet ones in a row
+        assert levels == 6
+
+
+def _recorded_cloud(monkeypatch, f, size, seed):
+    """julia_cloud, and the batches it read with their `last` flags, grouped
+    by level."""
+    levels = []
+    tree = dynamics._tree_batches
+
+    def recorded(*args):
+        for k, pts, last in tree(*args):
+            if k > len(levels):
+                levels.append([])
+            levels[-1].append((pts, last))
+            yield k, pts, last
+
+    monkeypatch.setattr(dynamics, "_tree_batches", recorded)
+    return julia_cloud(f, size, seed), levels
 
 
 def test_julia_cloud_dedup_equals_the_dict_loop_on_a_saturating_cantor_set(monkeypatch):
-    f = parse_map(EX2_MAP)
-    rounds = []
-    sampler = dynamics._sampler_points
+    got, levels = _recorded_cloud(monkeypatch, parse_map(EX2_MAP), 3000, 5)
+    batches = [[pts for pts, _ in level] for level in levels]
+    assert 0 < len(got) < 3000
+    assert levels[-1][-1][1] and sum(sum(map(len, level)) >= 3000 for level in batches) >= 2
+    want, read = _dict_loop_cloud(batches, 3000)
+    assert _cloud_bits(got) == _cloud_bits(want) and read == len(levels)
 
-    def counted(f, size, seed, cloud):
-        rounds.append(seed)
-        return sampler(f, size, seed, cloud)
 
-    monkeypatch.setattr(dynamics, "_sampler_points", counted)
-    got = julia_cloud(f, 3000, seed=5)
-    assert 0 < len(got) < 3000 and len(rounds) >= 3
-    want = _dict_loop_cloud(lambda r: sampler(f, 3000, 5 + 1009 * r, True), 3000)
-    assert _cloud_bits(got) == _cloud_bits(want)
+@pytest.mark.parametrize("expr, size", [("z^3-3*z", 20000), ("z^2-2", 20000), ("lattes", 30000)])
+def test_filling_cloud_stops_inside_its_last_level(monkeypatch, expr, size):
+    f = lattes_doubling_map() if expr == "lattes" else parse_map(expr)
+    got, levels = _recorded_cloud(monkeypatch, f, size, 1)
+    assert len(got) == size
+    # the batch that fills the cloud is not the last of its level
+    assert not levels[-1][-1][1]
+    assert len(got) == len(set(_cloud_bits(got)))

@@ -76,6 +76,21 @@ def test_functional_equation_residual_invariant():
         assert functional_equation_residual(s, f, samples=100) < 1e-8
 
 
+@pytest.mark.parametrize("key", ["lattes", "EX1(0.6)"])
+def test_functional_equation_residual_keeps_lambda_z_inside_the_radius(key):
+    # |lambda| = 4 at the Lattes map's infinity and 10.37 at EX1(0.6)'s
+    # repelling fixed point: on the circle r/4, lambda z reaches or passes
+    # the radius estimate r, and the residual read 0.131 and 1.4e26
+    if key == "lattes":
+        f, p = lattes_doubling_map(), INF
+    else:
+        f, p = build_example("EX1", c=0.6).map, (1.0 - math.sqrt(7.4)) / 0.8
+    s = poincare_coeffs(f, p, 64)
+    assert abs(s.multiplier) >= 4.0
+    assert functional_equation_residual(s, f) < 1e-12
+    assert functional_equation_residual(s, f, radius=s.conv_radius_estimate / 4.0) > 0.1
+
+
 def test_poincare_eval_exponential_values():
     f = parse_map("z^2")
     s = poincare_coeffs(f, 1.0, 64)
