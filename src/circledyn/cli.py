@@ -9,6 +9,7 @@ Exit codes: 0 classified/ok, 2 usage or guard violations, 3 inconclusive,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -301,7 +302,9 @@ def cmd_examples(args) -> int:
     return emit(payload, args.out)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it was."""
     ap = argparse.ArgumentParser(prog="circledyn")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -2,11 +2,15 @@
 
 Period-n points solve f^n(z) = z.  Expanding the iterate's coefficients is
 numerically hopeless beyond a few iterations (the coefficients grow
-exponentially while the roots stay on a bounded Julia set), so the Aberth
-iteration below evaluates the iterate functionally: P'/P comes from the
-chain-rule derivative of f^n and the log-derivative of the accumulated
-denominator.  It starts from the n-th preimages of one repelling point,
-which are equidistributed as the period-n points are.
+exponentially while the roots stay on a bounded Julia set), so the solvers
+below evaluate the iterate functionally: P'/P comes from the chain-rule
+derivative of f^n and the log-derivative of the accumulated denominator.
+They start from the n-th preimages of one repelling point, which are
+equidistributed as the period-n points are.  A solve too large for one
+block of the Aberth sum runs plain Newton first and leaves the Aberth
+iteration only the points that collide or do not converge; duplicates and
+successors are looked up on a grid of the sphere (`_near_pairs`), so no
+step of a solve compares all pairs of points.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ DEDUP_PITCH = 1e-4
 ABERTH_TOL = 1e-13
 ABERTH_MAXITER = 400
 RECIPROCAL_BLOCK = 1 << 16  # complex entries per row block (1 MiB)
+NEWTON_STEPS = 8  # at most, before the Aberth iteration
 CLOSED_FORM_ROWS = 256  # batch width from which closed-form cubic/quartic roots pay
 
 
@@ -353,16 +358,78 @@ def _aberth_functional(f, n, z0, known=(), weights=()):
         bad = ~np.isfinite(step)
         if np.any(bad):
             step = np.where(bad, 0.25 * (za - center), step)
-        # temper huge steps: keeps far strays from overshooting (a zero
-        # step, as from a start at the centroid, must not divide by zero)
-        mag = np.abs(step)
-        cap = 1.0 + np.abs(za)
-        step = np.where(mag > cap, step * (cap / np.maximum(mag, cap)), step)
+        step = _tempered(step, za)
         z[active] = za - step
         active = active[np.abs(step) > ABERTH_TOL * (1.0 + np.max(np.abs(z)))]
         if active.size == 0:
             break
     return z
+
+
+def _tempered(step, z):
+    """Steps longer than 1 + |z| cut to that length: keeps far strays from
+    overshooting (a zero step, as from a start at the centroid, must not
+    divide by zero)."""
+    mag = np.abs(step)
+    cap = 1.0 + np.abs(z)
+    return np.where(mag > cap, step * (cap / np.maximum(mag, cap)), step)
+
+
+def _period_roots(f, n, z0, known, weights):
+    """The len(z0) = m roots of the period-n polynomial other than `known`
+    (finite, with multiplicities `weights`), from the seeds z0.
+
+    While the Aberth sum over all m points fits one block (m (m + known)
+    <= RECIPROCAL_BLOCK), `_aberth_functional` alone solves: there a
+    Newton step costs about as much as the sum.  Above that, plain Newton
+    steps run first, each point frozen once its step is at most
+    ABERTH_TOL (1 + max |z0|); the phase ends at the first step, from the
+    third on, that freezes no new point, or after NEWTON_STEPS.  Of the
+    frozen points, the first of each `_sphere_cells` cell is kept unless
+    it lies within DUPLICATE_CLUSTER of a known root or of an earlier kept
+    point.  The other points restart from their seeds in the Aberth
+    iteration, with the kept points as known roots of weight 1."""
+    m = len(z0)
+    if m * (m + len(known)) <= RECIPROCAL_BLOCK:
+        return _aberth_functional(f, n, z0, known, weights)
+    z = z0.copy()
+    tol = ABERTH_TOL * (1.0 + np.max(np.abs(z0)))
+    active = np.arange(m)
+    for k in range(NEWTON_STEPS):
+        za = z[active]
+        step = _newton_correction(f, za, n)
+        moving = ~(np.abs(step) <= tol)  # nan where P'/P overflows: a stray
+        z[active] = za - _tempered(np.where(np.isfinite(step), step, 0.0), za)
+        if k >= 2 and np.all(moving):
+            break
+        active = active[moving]
+    frozen = np.setdiff1d(np.arange(m), active)
+    kept = frozen[_distinct(z[frozen], known)]
+    rest = np.setdiff1d(np.arange(m), kept)
+    if rest.size:
+        z[rest] = _aberth_functional(
+            f,
+            n,
+            z0[rest],
+            np.concatenate([known, z[kept]]),
+            np.concatenate([weights, np.ones(len(kept))]),
+        )
+    return z
+
+
+def _distinct(z, known) -> np.ndarray:
+    """Indices of the points of z to keep as roots, ascending: the first
+    point of each `_sphere_cells` cell, unless it lies within
+    DUPLICATE_CLUSTER of a known point or of an earlier such first point.
+    Comparing one point per cell keeps a dense cluster of copies from
+    pairing all its points."""
+    first = np.sort(np.unique(_sphere_cells(z, DUPLICATE_CLUSTER), return_index=True)[1])
+    reps = z[first]
+    i, j, _ = _near_pairs(reps, reps, DUPLICATE_CLUSTER)
+    keep = np.ones(len(first), dtype=bool)
+    keep[j[i < j]] = False
+    keep[_near_pairs(reps, known, DUPLICATE_CLUSTER)[0]] = False
+    return first[keep]
 
 
 def _period_solutions(f: RationalMap, n: int) -> list:
@@ -400,7 +467,7 @@ def _solve_period(f: RationalMap, n: int) -> list:
         return _close_orbits(f, n, tail, pool, known_total)
     finite = np.isfinite(pool)
     known, weights = pool[finite], weights[finite]
-    z = _aberth_functional(f, n, _period_seeds(f, n, m), known, weights)
+    z = _period_roots(f, n, _period_seeds(f, n, m), known, weights)
     F, lam, _ = _orbit_data(f, z, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         quality = np.abs(F) / np.maximum(np.abs(lam - 1.0), 1e-6)
@@ -427,11 +494,11 @@ def _solve_period(f: RationalMap, n: int) -> list:
 def _close_orbits(f, n, new, pool, known_total):
     """Group the new period-n solutions into orbits and check the count.
 
-    Each new point's successor is the solution (new or known) chordally
-    nearest its image; the successors must permute the new points, in
+    Each new point's successor is a solution (new or known) near its
+    image (`_successors`); the successors must permute the new points, in
     cycles of length n.  With the multiplicities of the new orbits, all
     solutions must add up to d^n + 1."""
-    succ = _successors(f, new, np.concatenate([new, pool]))
+    succ = _successors(f, new, pool)
     if np.any(succ >= len(new)) or len(np.unique(succ)) != len(new):
         raise RootFindingFailed(f"period-{n} solutions are not permuted by the map")
     points = [SpherePoint.of(z) for z in new]
@@ -462,17 +529,29 @@ def _close_orbits(f, n, new, pool, known_total):
     return orbits
 
 
-def _successors(f, z, pts) -> np.ndarray:
-    """For each of the sphere points z, the index of the point of pts
-    chordally nearest its image.  A row block holds a quarter of
-    RECIPROCAL_BLOCK distances, so that its temporaries (one complex
-    difference and a few real arrays) fit the kernel's 1 MiB."""
-    images = image_array(f, z)
-    succ = np.empty(len(z), dtype=int)
-    rows = max(1, RECIPROCAL_BLOCK // (4 * max(len(pts), 1)))
-    for i0 in range(0, len(z), rows):
-        dist = chordal_distances(images[i0 : i0 + rows, None], pts[None, :])
-        succ[i0 : i0 + rows] = np.argmin(dist, axis=1)
+def _successors(f, new, pool) -> np.ndarray:
+    """For each of the new points, the index in new + pool of its
+    successor.  The new points within DUPLICATE_CLUSTER of the images
+    (`_near_pairs`) are assigned in ascending distance, each to the first
+    row that claims it, so two images nearest one point still get two
+    successors.  A row left without one takes the point of new + pool
+    nearest its image (`_nearest`): where all its near points were taken,
+    or its image is nearest a known point, the permutation check fails.
+    Where no two rows claim one point, each row gets its nearest new
+    point."""
+    images = image_array(f, new)
+    i, j, d = _near_pairs(images, new, DUPLICATE_CLUSTER)
+    order = np.lexsort((j, i, d))
+    succ = [-1] * len(new)
+    taken = set()
+    for r, t in zip(i[order].tolist(), j[order].tolist()):
+        if succ[r] < 0 and t not in taken:
+            succ[r] = t
+            taken.add(t)
+    succ = np.array(succ, dtype=int)
+    left = np.flatnonzero(succ < 0)
+    if left.size:
+        succ[left] = _nearest(images[left], np.concatenate([new, pool]))
     return succ
 
 
@@ -492,9 +571,13 @@ def _period_seeds(f: RationalMap, n: int, m: int) -> np.ndarray:
         lower = [o for k in range(1, n) if n % k == 0 for o in _period_solutions(f, k)]
         free = np.isfinite(tree)
         drop = np.flatnonzero(~free).tolist()
-        for q in sphere_array([p for o in lower if o.stability == "repelling" for p in o.points]):
-            drop.append(int(np.argmin(np.where(free, chordal_distances(q, tree), np.inf))))
-            free[drop[-1]] = False
+        repelling = sphere_array([p for o in lower if o.stability == "repelling" for p in o.points])
+        pick = np.flatnonzero(free)[_nearest(repelling, tree[free])]
+        for q, k in zip(repelling, pick):
+            if not free[k]:  # taken by an earlier repelling point
+                k = np.argmin(np.where(free, chordal_distances(q, tree), np.inf))
+            drop.append(int(k))
+            free[k] = False
         other = [p for o in lower if o.stability != "repelling" for p in o.points] + [INF]
         near = np.min(chordal_distances(sphere_array(other)[:, None], tree[None, :]), axis=0)
         drop += [k for k in np.argsort(near, kind="stable").tolist() if free[k]]
@@ -911,3 +994,106 @@ def _grid_cells(z) -> np.ndarray:
     re = np.round(w.real / DEDUP_PITCH).astype(np.int64) + span // 2
     im = np.round(w.imag / DEDUP_PITCH).astype(np.int64) + span // 2
     return (inverted * span + re) * span + im
+
+
+# ---------------------------------------------------------------------------
+# sphere neighbours
+
+
+def _unit_vectors(z) -> np.ndarray:
+    """Sphere points as rows (x, y, z) of the unit sphere of R^3, each read
+    in its chart (`chart_split`): the Euclidean distance of two rows is the
+    chordal distance of the points, up to rounding."""
+    inverted, w = chart_split(z)
+    lift = 1.0 + w.real * w.real + w.imag * w.imag
+    sign = np.where(inverted, -1.0, 1.0)
+    return np.stack(
+        [2.0 * w.real / lift, sign * 2.0 * w.imag / lift, sign * (lift - 2.0) / lift], axis=1
+    )
+
+
+_CORNERS = np.array(list(np.ndindex(2, 2, 2)))
+
+
+def _reach(radius: float):
+    """The radius with a margin for the rounding of `_unit_vectors`, and
+    the grid pitch: at least 4 reach, so a ball of the radius meets at most
+    two cells per axis and mostly one, and at least 1e-6, so that the cell
+    keys fit int64."""
+    reach = radius * (1.0 + 1e-9) + 1e-14
+    return reach, max(4.0 * reach, 1e-6)
+
+
+def _cell_keys(cells, pitch) -> np.ndarray:
+    """Integer cells (rows of floor(v / pitch)) as one int64 key each."""
+    half = int(math.ceil(1.0 / pitch)) + 1
+    span = 2 * half + 1
+    c = cells + half
+    return (c[..., 0] * span + c[..., 1]) * span + c[..., 2]
+
+
+def _sphere_cells(z, radius: float) -> np.ndarray:
+    """The cell key of each sphere point on the grid `_near_pairs` uses
+    for this radius."""
+    pitch = _reach(radius)[1]
+    return _cell_keys(np.floor(_unit_vectors(z) / pitch).astype(np.int64), pitch)
+
+
+def _near_pairs(a, b, radius: float):
+    """Every pair (i, j) with chordal_distances(a[i], b[j]) <= radius, as
+    arrays i, j and those distances, exact, ordered by i.  b is filed by
+    cell of a grid of R^3 (`_sphere_cells`), and each a[i] looks up the at
+    most 8 cells its ball meets; the points of those cells are compared
+    about a quarter of RECIPROCAL_BLOCK pairs at a time.  Time is
+    O((len(a) + len(b)) log len(b)) plus the pairs compared, and memory
+    O(len(a) + len(b)) plus the pairs returned."""
+    reach, pitch = _reach(radius)
+    keys = _sphere_cells(b, radius)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    v = _unit_vectors(a)
+    lo = np.floor((v - reach) / pitch).astype(np.int64)
+    wide = np.floor((v + reach) / pitch).astype(np.int64) > lo
+    rows, corner = np.nonzero(np.all(wide[:, None, :] | (_CORNERS == 0), axis=2))
+    cell = _cell_keys(lo[rows] + _CORNERS[corner], pitch)
+    start = np.searchsorted(keys, cell, "left")
+    count = np.searchsorted(keys, cell, "right") - start
+    block = RECIPROCAL_BLOCK // 4
+    cuts = np.searchsorted(np.cumsum(count), np.arange(block, np.sum(count), block)) + 1
+    out = []
+    for s in np.split(np.arange(len(count)), np.unique(cuts)):
+        c = count[s]
+        offset = np.repeat(start[s] - np.cumsum(c) + c, c)
+        i = np.repeat(rows[s], c)
+        j = order[offset + np.arange(len(offset))]
+        d = chordal_distances(a[i], b[j])
+        near = d <= radius
+        out.append((i[near], j[near], d[near]))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _nearest(a, b) -> np.ndarray:
+    """For each of the sphere points a, the index of the point of b
+    chordally nearest it, ties to the lowest index: np.argmin of
+    `chordal_distances` row by row, bit for bit.  The rows are looked up by
+    `_near_pairs` at radii growing 4-fold from DUPLICATE_CLUSTER while
+    below 0.1, each for the rows still without a point (a row whose nearest
+    point lies within a radius has it among that radius' pairs).  The rest,
+    and all rows when there are at most RECIPROCAL_BLOCK pairs (where that
+    is faster), compare with every point of b, a quarter of
+    RECIPROCAL_BLOCK distances at a time."""
+    out = np.empty(len(a), dtype=int)
+    rows = np.arange(len(a))
+    radius = DUPLICATE_CLUSTER if len(a) * len(b) > RECIPROCAL_BLOCK else math.inf
+    while rows.size and radius < 0.1:
+        i, j, d = _near_pairs(a[rows], b, radius)
+        order = np.lexsort((j, d, i))
+        found, first = np.unique(i[order], return_index=True)
+        out[rows[found]] = j[order][first]
+        rows = np.delete(rows, found)
+        radius *= 4.0
+    block = max(1, RECIPROCAL_BLOCK // (4 * len(b)))
+    for i0 in range(0, len(rows), block):
+        r = rows[i0 : i0 + block]
+        out[r] = np.argmin(chordal_distances(a[r, None], b[None, :]), axis=1)
+    return out

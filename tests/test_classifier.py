@@ -396,6 +396,16 @@ def test_ex3_conjugate_at_default_nmax():
     assert rep.verdict == "CIRCLE_CASE_III", rep.inconclusive_reason
 
 
+def test_ex3_conjugate_draw_10_closes_its_orbits():
+    # draw 10 ended INCONCLUSIVE ("period-6 solutions are not permuted by
+    # the map"): two period-6 points lie 4.2e-12 apart, and the image of a
+    # third lands 4.4e-12 from one of them, so the nearest-image rule gave
+    # two points one successor; successors are now assigned
+    ex3 = build_example("EX3", p=0.2, a=0.5, eps=1e-3).map
+    rep = dichotomy_verdict(conjugate(ex3, _seeded_conjugators(11)[10]))
+    assert rep.verdict == "CIRCLE_CASE_III", rep.inconclusive_reason
+
+
 def test_swap_components_is_the_sign_of_the_degree():
     f = parse_map("(4-z^2)/(1+0.6*z)")
     rep = dichotomy_verdict(f, n_max=3)

@@ -242,6 +242,17 @@ def test_period_engine_inputs_end_in_a_verdict(args, verdict, exit_code, capsys)
     assert code == exit_code
 
 
+def test_ex3_at_nmax_7_closes_its_orbits(capsys):
+    # two period-7 images lie 2.2e-15 and 4.9e-14 from one solution, and the
+    # second 5.8e-14 from its own: the nearest-image rule gave both the
+    # first ("not permuted"), the assignment gives each its own
+    args = ["--example", "EX3", "--p", "0.2", "--a", "0.5", "--eps", "0.001", "--nmax", "7"]
+    code, out, _ = run_cli(["classify", *args], capsys)
+    data = json.loads(out)
+    assert data["verdict"] == "CIRCLE_CASE_III", data.get("inconclusive_reason")
+    assert code == 0
+
+
 def test_period_solve_shortfall_is_inconclusive(monkeypatch, capsys):
     # an Aberth iteration that never moves its start points
     monkeypatch.setattr(dynamics, "_aberth_functional", lambda f, n, z0, *known: z0)
@@ -383,3 +394,17 @@ def test_degree_one_map_still_linearizes(capsys):
     code, out, _ = run_cli(["poincare", "--map", "2*z", "--at", "0"], capsys)
     assert code == 0
     assert json.loads(out)["lambda"] == [2.0, 0.0]
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # parsing leaves the one parser as it was: a usage error in between
+    # changes neither the exit code nor the bytes of a later run
+    from circledyn.cli import build_parser
+
+    assert build_parser() is build_parser()
+    args = ["classify", "--map", "z^2-2", "--nmax", "2"]
+    first = run_cli(args, capsys)
+    assert run_cli(["classify", "--map", "z^2-2", "--nmax"], capsys)[0] == 2
+    assert run_cli(["classify", "--map", "z^2-2", "--bogus"], capsys)[0] == 2
+    assert run_cli(args, capsys) == first
+    assert first[0] == 0

@@ -643,32 +643,40 @@ def _full_aberth(f, n, z0, known, weights):
     raise AssertionError("the full iteration did not converge")
 
 
-def test_aberth_sums_only_the_points_still_moving(monkeypatch):
-    # every iteration of a full sum would send all m rows through the
-    # kernel, about 43 m for this solve
-    rows = []
+def _period_roots_inputs(monkeypatch, f, n):
+    """The seeds, known roots and weights of the period-n solve of f, as
+    `_solve_period` hands them to `_period_roots`."""
     solves = []
-    kernel, aberth = dynamics._reciprocal_sums, dynamics._aberth_functional
+    period_roots = dynamics._period_roots
+
+    def recorded(f, k, z0, known, weights):
+        if k == n:
+            solves.append((z0, known, weights))
+        return period_roots(f, k, z0, known, weights)
+
+    monkeypatch.setattr(dynamics, "_period_roots", recorded)
+    periodic_points(f, n)
+    monkeypatch.setattr(dynamics, "_period_roots", period_roots)
+    ((z0, known, weights),) = solves
+    return z0, known, weights
+
+
+def test_aberth_sums_only_the_points_still_moving(monkeypatch):
+    # the Aberth iteration on all seeds of the period-6 solve: every
+    # iteration of a full sum would send all m rows through the kernel,
+    # about 43 m for this solve
+    f = parse_map("z^3-3*z")
+    z0, known, weights = _period_roots_inputs(monkeypatch, f, 6)
+    rows = []
+    kernel = dynamics._reciprocal_sums
 
     def counted(z, known, *args, **kwargs):
         if kwargs.get("skip") is not None:
             rows.append(len(z))
         return kernel(z, known, *args, **kwargs)
 
-    def recorded(f, n, z0, known=(), weights=()):
-        z = aberth(f, n, z0, known, weights)
-        if n == 6:
-            solves.append((f, z0, known, weights, z))
-        return z
-
     monkeypatch.setattr(dynamics, "_reciprocal_sums", counted)
-    monkeypatch.setattr(dynamics, "_aberth_functional", recorded)
-    f = parse_map("z^3-3*z")
-    for n in range(1, 6):
-        periodic_points(f, n)
-    rows.clear()
-    periodic_points(f, 6)
-    ((f, z0, known, weights, z),) = solves
+    z = _aberth_functional(f, 6, z0, known, weights)
     m = len(z0)
     assert rows[0] == m
     assert sum(rows) < 12 * m
@@ -677,6 +685,80 @@ def test_aberth_sums_only_the_points_still_moving(monkeypatch):
     nearest = np.argmin(gap, axis=1)
     assert len(np.unique(nearest)) == m
     assert np.all(gap[np.arange(m), nearest] <= 1e-12 * np.maximum(1.0, np.abs(z)))
+
+
+def _chordal_match(z, ref):
+    """The largest chordal distance from a point of z to the point of ref
+    nearest it, and whether those nearest points are all distinct."""
+    gap = chordal_distances(z[:, None], ref[None, :])
+    nearest = np.argmin(gap, axis=1)
+    return float(np.max(gap[np.arange(len(z)), nearest])), len(np.unique(nearest)) == len(z)
+
+
+@pytest.mark.parametrize(
+    "expr, n", [("z^3-3*z", 7), ("lattes", 5), ("z^2", 9), ("z^2-1", 10)]
+)
+def test_newton_phase_solves_as_aberth_alone(monkeypatch, expr, n):
+    # the same roots, to 1e-10 chordal, as the Aberth iteration on all seeds
+    f = lattes_doubling_map() if expr == "lattes" else parse_map(expr)
+    z0, known, weights = _period_roots_inputs(monkeypatch, f, n)
+    assert len(z0) * (len(z0) + len(known)) > dynamics.RECIPROCAL_BLOCK
+    got = dynamics._period_roots(f, n, z0, known, weights)
+    ref = _aberth_functional(f, n, z0, known, weights)
+    worst, bijective = _chordal_match(got, ref)
+    assert worst <= 1e-10 and bijective
+    new = sphere_array([p for o in periodic_points(f, n) for p in o.points])
+    worst, bijective = _chordal_match(new, ref)
+    assert worst <= 1e-10 and bijective
+
+
+def test_newton_phase_leaves_aberth_the_collisions(monkeypatch):
+    # z^3 - 3z at period 7: Newton from the tree seeds converges to all but
+    # a few of the 2184 new points, which the Aberth iteration gets with the
+    # distinct converged points as known roots of weight 1
+    calls = []
+    aberth = dynamics._aberth_functional
+
+    def recorded(f, n, z0, known=(), weights=()):
+        if n == 7:
+            calls.append((len(z0), len(known), np.asarray(weights)))
+        return aberth(f, n, z0, known, weights)
+
+    monkeypatch.setattr(dynamics, "_aberth_functional", recorded)
+    f = parse_map("z^3-3*z")
+    assert sum(len(o.points) for o in periodic_points(f, 7)) == 2184
+    ((rest, known, weights),) = calls
+    assert 0 < rest < 2184 // 10
+    assert rest + known == 2184 + 3
+    assert np.all(weights[3:] == 1.0)
+
+
+def test_small_period_solves_take_aberth_alone(monkeypatch):
+    # below one block of the coupling sum, all m seeds go to Aberth
+    calls = []
+    aberth = dynamics._aberth_functional
+
+    def recorded(f, n, z0, known=(), weights=()):
+        calls.append((n, len(z0), len(known)))
+        return aberth(f, n, z0, known, weights)
+
+    monkeypatch.setattr(dynamics, "_aberth_functional", recorded)
+    periodic_points(parse_map("z^2-2"), 6)
+    assert [c[0] for c in calls] == [2, 3, 6]
+    assert all(m * (m + k) <= dynamics.RECIPROCAL_BLOCK for _, m, k in calls)
+    assert calls[-1][1] == 54
+
+
+def test_newton_phase_without_aberth_is_a_shortfall(monkeypatch):
+    # past the periods below, an Aberth iteration that never moves its start
+    # points: the points Newton leaves it (z^2 - 1 collides at period 9)
+    # stay at their seeds and fail the quality test
+    f = parse_map("z^2-1")
+    for n in range(1, 9):
+        periodic_points(f, n)
+    monkeypatch.setattr(dynamics, "_aberth_functional", lambda f, n, z0, *known: z0)
+    with pytest.raises(RootFindingFailed, match="^period-9 solve found "):
+        periodic_points(f, 9)
 
 
 def _solutions(f, n):
@@ -701,7 +783,26 @@ def test_successors_follow_the_scalar_rule(f, n):
     new, pts = _solutions(f, n)
     assert len(new) > 0
     scalar = [int(np.argmin(chordal_distances(f(SpherePoint.of(z)), pts))) for z in new]
-    assert dynamics._successors(f, new, pts).tolist() == scalar
+    assert dynamics._successors(f, new, pts[len(new) :]).tolist() == scalar
+
+
+def test_successors_are_assigned_in_ascending_distance():
+    # two images nearest one target, 2.2e-15 and 4.9e-14 from it, the
+    # second 5.8e-14 from its own (the period-7 solve of EX3): the nearer
+    # image keeps the target, the other takes its own; the images of the
+    # targets miss every new point and take the nearest of new + pool
+    f = parse_map("2*z")
+    target = np.array([0.5, 0.5 + 4.9e-14 + 5.8e-14])
+    images = np.array([0.5 + 2.2e-15, 0.5 + 4.9e-14])
+    new = np.concatenate([images / 2.0, target])
+    pool = np.array([1.0, complex(math.inf, 0.0)])
+    pts = np.concatenate([new, pool])
+    nearest = [int(np.argmin(chordal_distances(w, pts))) for w in 2.0 * new]
+    assert nearest == [2, 2, 4, 4]
+    assert dynamics._successors(f, new, pool).tolist() == [2, 3, 4, 4]
+    # a row whose only near target is taken falls back to it, and so the
+    # successors are not a permutation
+    assert dynamics._successors(f, new[[0, 1, 2]], pool).tolist() == [2, 2, 3]
 
 
 def test_orbit_closing_memory_does_not_grow_with_the_square_of_the_degree():
@@ -717,6 +818,67 @@ def test_orbit_closing_memory_does_not_grow_with_the_square_of_the_degree():
     finally:
         tracemalloc.stop()
     assert len(orbits) == 186
+    assert peak < 8 * 2**20
+
+
+def _kernel_points():
+    """Sphere points for the neighbour kernel: infinity, 0 and the poles
+    +-1 of EX2, both sides of |z| = 1, points 1e-13 apart, exact copies
+    (ties go to the lowest index) and a wide spread of moduli."""
+    rng = np.random.default_rng(21)
+    spread = (rng.normal(size=1500) + 1j * rng.normal(size=1500)) * np.exp(4.0 * rng.normal(size=1500))
+    circle = np.exp(2j * np.pi * rng.random(300))
+    return np.concatenate(
+        [
+            [complex(math.inf, 0.0), 0.0, 1.0, -1.0, 1e-300, 1e30j],
+            circle * (1.0 - 1e-12),
+            circle * (1.0 + 1e-12),
+            spread,
+            spread[:200] + 1e-13,
+            spread[200:300],
+        ]
+    )
+
+
+def test_nearest_is_the_brute_force_argmin_bit_for_bit():
+    pts = _kernel_points()
+    a, b = pts[::2], pts[1::2]
+    assert len(a) * len(b) > dynamics.RECIPROCAL_BLOCK
+    for x, y in ((a, b), (b, a), (pts, pts[:2000])):
+        want = np.array([np.argmin(chordal_distances(p, y)) for p in x])
+        assert np.array_equal(dynamics._nearest(x, y), want)
+
+
+@pytest.mark.parametrize("radius", [0.0, 1e-13, 1e-6, 1e-3, 0.3])
+def test_near_pairs_are_every_pair_within_the_radius(radius):
+    pts = _kernel_points()
+    a, b = pts[:900], pts[700:]
+    i, j, d = dynamics._near_pairs(a, b, radius)
+    dense = chordal_distances(a[:, None], b[None, :])
+    want = set(zip(*np.nonzero(dense <= radius)))
+    assert set(zip(i.tolist(), j.tolist())) == {(int(p), int(q)) for p, q in want}
+    assert len(i) == len(want)
+    assert np.array_equal(d.view(np.uint64), dense[i, j].view(np.uint64))
+
+
+def test_neighbour_kernel_memory_is_linear_in_the_points():
+    # the 4094 points z^4095 = 1, z != 1, which z^2 permutes, and 4000 points
+    # of the plane, whose nearest of them lie 1e-3 to 1e-1 away: an
+    # all-pairs distance block would allocate 8 m^2 bytes, ~128 MB
+    f = parse_map("z^2")
+    z = np.exp(2j * np.pi * np.arange(1, 4095) / 4095)
+    plane = np.array([1.0, 1j]) @ np.random.default_rng(4).normal(size=(2, 4000))
+    tracemalloc.start()
+    try:
+        i, j, _ = dynamics._near_pairs(z * z, z, dynamics.DUPLICATE_CLUSTER)
+        succ = dynamics._successors(f, z, np.zeros(0, dtype=complex))
+        nearest = dynamics._nearest(plane, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.sort(i), np.arange(4094))
+    assert np.array_equal(succ, (2 * np.arange(1, 4095)) % 4095 - 1)
+    assert len(nearest) == 4000
     assert peak < 8 * 2**20
 
 
