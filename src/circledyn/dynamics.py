@@ -531,16 +531,16 @@ def _close_orbits(f, n, new, pool, known_total):
 
 def _successors(f, new, pool) -> np.ndarray:
     """For each of the new points, the index in new + pool of its
-    successor.  The new points within DUPLICATE_CLUSTER of the images
-    (`_near_pairs`) are assigned in ascending distance, each to the first
-    row that claims it, so two images nearest one point still get two
-    successors.  A row left without one takes the point of new + pool
-    nearest its image (`_nearest`): where all its near points were taken,
-    or its image is nearest a known point, the permutation check fails.
-    Where no two rows claim one point, each row gets its nearest new
-    point."""
+    successor.  The points of new + pool within DUPLICATE_CLUSTER of the
+    images (`_near_pairs`) are assigned in ascending distance, each to the
+    first row that claims it, so two images nearest one new point still get
+    two successors, while a row whose image is nearest a known point gets
+    that point and fails the permutation check.  A row left without one
+    takes the point of new + pool nearest its image (`_nearest`).  Where no
+    two rows claim one point, each row gets its nearest point."""
     images = image_array(f, new)
-    i, j, d = _near_pairs(images, new, DUPLICATE_CLUSTER)
+    pts = np.concatenate([new, pool])
+    i, j, d = _near_pairs(images, pts, DUPLICATE_CLUSTER)
     order = np.lexsort((j, i, d))
     succ = [-1] * len(new)
     taken = set()
@@ -551,7 +551,7 @@ def _successors(f, new, pool) -> np.ndarray:
     succ = np.array(succ, dtype=int)
     left = np.flatnonzero(succ < 0)
     if left.size:
-        succ[left] = _nearest(images[left], np.concatenate([new, pool]))
+        succ[left] = _nearest(images[left], pts)
     return succ
 
 
@@ -1074,26 +1074,12 @@ def _near_pairs(a, b, radius: float):
 
 def _nearest(a, b) -> np.ndarray:
     """For each of the sphere points a, the index of the point of b
-    chordally nearest it, ties to the lowest index: np.argmin of
-    `chordal_distances` row by row, bit for bit.  The rows are looked up by
-    `_near_pairs` at radii growing 4-fold from DUPLICATE_CLUSTER while
-    below 0.1, each for the rows still without a point (a row whose nearest
-    point lies within a radius has it among that radius' pairs).  The rest,
-    and all rows when there are at most RECIPROCAL_BLOCK pairs (where that
-    is faster), compare with every point of b, a quarter of
-    RECIPROCAL_BLOCK distances at a time."""
+    chordally nearest it, ties to the lowest index.  A row block holds a
+    quarter of RECIPROCAL_BLOCK distances, so that its temporaries (one
+    complex difference and a few real arrays) fit the kernel's 1 MiB."""
     out = np.empty(len(a), dtype=int)
-    rows = np.arange(len(a))
-    radius = DUPLICATE_CLUSTER if len(a) * len(b) > RECIPROCAL_BLOCK else math.inf
-    while rows.size and radius < 0.1:
-        i, j, d = _near_pairs(a[rows], b, radius)
-        order = np.lexsort((j, d, i))
-        found, first = np.unique(i[order], return_index=True)
-        out[rows[found]] = j[order][first]
-        rows = np.delete(rows, found)
-        radius *= 4.0
-    block = max(1, RECIPROCAL_BLOCK // (4 * len(b)))
-    for i0 in range(0, len(rows), block):
-        r = rows[i0 : i0 + block]
-        out[r] = np.argmin(chordal_distances(a[r, None], b[None, :]), axis=1)
+    rows = max(1, RECIPROCAL_BLOCK // (4 * max(len(b), 1)))
+    for i0 in range(0, len(a), rows):
+        dist = chordal_distances(a[i0 : i0 + rows, None], b[None, :])
+        out[i0 : i0 + rows] = np.argmin(dist, axis=1)
     return out

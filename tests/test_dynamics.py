@@ -805,6 +805,16 @@ def test_successors_are_assigned_in_ascending_distance():
     assert dynamics._successors(f, new[[0, 1, 2]], pool).tolist() == [2, 2, 3]
 
 
+def test_a_known_point_nearest_an_image_claims_its_row():
+    # a stray copy of the known point 0.5 lies 1e-9 from it: the image
+    # 0.5 + 1e-15 is nearest the known point, so its row takes that point
+    # and the successors are not a permutation of the new points
+    f = parse_map("2*z")
+    new = np.array([0.25 + 5e-16, 0.5 + 1e-9])
+    pool = np.array([0.5, 1.0])
+    assert dynamics._successors(f, new, pool).tolist() == [2, 3]
+
+
 def test_orbit_closing_memory_does_not_grow_with_the_square_of_the_degree():
     # the 2046 points of period 11 of z^2: an m x m distance matrix would
     # allocate 8 m^2 bytes, ~33 MB
