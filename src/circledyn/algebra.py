@@ -97,16 +97,21 @@ INF = SpherePoint.infinity()
 
 
 def chordal_distance(p, q) -> float:
-    """Chordal metric on the sphere; both arguments SpherePoint or complex/None."""
+    """Chordal metric on the sphere; both arguments SpherePoint or complex/None.
+    A pair with a point of modulus 1e77 or more, whose lifts 1 + |z|^2 may
+    overflow, is measured by `chordal_distances`."""
     p = SpherePoint.of(p)
     q = SpherePoint.of(q)
     if p.infinite and q.infinite:
         return 0.0
     if p.infinite or q.infinite:
         z = q.value if p.infinite else p.value
-        return 2.0 / math.sqrt(1.0 + abs(z) ** 2)
-    a, b = p.value, q.value
-    return 2.0 * abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
+        if abs(z) < 1e154:
+            return 2.0 / math.sqrt(1.0 + abs(z) ** 2)
+    elif max(abs(p.value), abs(q.value)) < 1e77:
+        a, b = p.value, q.value
+        return 2.0 * abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
+    return float(chordal_distances(p, sphere_array([q]))[0])
 
 
 # The array kernels below round exactly as the scalar code they stand in
@@ -186,9 +191,19 @@ def chordal_distances(p, zs) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         lift_a = 1.0 + np.float_power(_modulus(a), 2)
         lift = 1.0 + np.float_power(_modulus(zs), 2)
-        out = 2.0 * _modulus(a - zs) / np.sqrt(lift_a * lift)
+        # an infinite point's entries are set below: its lift is 1 here
+        lifts = np.where(a_inf, 1.0, lift_a) * np.where(z_inf, 1.0, lift)
+        out = 2.0 * _modulus(a - zs) / np.sqrt(lifts)
     out = np.where(z_inf, 2.0 / np.sqrt(lift_a), out)
     out = np.where(a_inf, np.where(z_inf, 0.0, 2.0 / np.sqrt(lift)), out)
+    if np.max(lifts, initial=1.0) == math.inf:
+        # the pairs whose lifts overflow, read in the charts (`chart_split`):
+        # |a - z| is |w - w'| within one chart and |1 - w w'| across
+        over = np.isinf(lifts)
+        (inv_a, wa), (inv_z, wz) = (chart_split(x[over]) for x in np.broadcast_arrays(a, zs))
+        gap = _modulus(np.where(inv_a == inv_z, wa - wz, 1.0 - wa * wz))
+        lifts = (1.0 + np.float_power(_modulus(wa), 2)) * (1.0 + np.float_power(_modulus(wz), 2))
+        out[over] = 2.0 * gap / np.sqrt(lifts)
     return out
 
 

@@ -6,11 +6,12 @@ exponentially while the roots stay on a bounded Julia set), so the solvers
 below evaluate the iterate functionally: P'/P comes from the chain-rule
 derivative of f^n and the log-derivative of the accumulated denominator.
 They start from the n-th preimages of one repelling point, which are
-equidistributed as the period-n points are.  A solve too large for one
-block of the Aberth sum runs plain Newton first and leaves the Aberth
-iteration only the points that collide or do not converge; duplicates and
-successors are looked up on a grid of the sphere (`_near_pairs`), so no
-step of a solve compares all pairs of points.
+equidistributed as the period-n points are; Julia clouds and samples of
+the measure of maximal entropy read the same backward tree.  A solve too
+large for one block of the Aberth sum runs plain Newton first and leaves
+the Aberth iteration only the points that collide or do not converge;
+duplicates and successors are looked up on a grid of the sphere
+(`_near_pairs`), so no step of a solve compares all pairs of points.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ PERIOD_DEGREE_CAP = 4097
 DUPLICATE_CLUSTER = 1e-6  # copies of a multiple root, which Aberth finds to ~sqrt(eps)
 ROOT_OF_UNITY_TOL = 1e-6  # |lambda^r - 1| of a parabolic cycle
 FLOWER_COEFF_TOL = 1e-8  # a nonzero coefficient of f^{qr}(w) - w
-BURN_IN = 50
 DEDUP_PITCH = 1e-4
 ABERTH_TOL = 1e-13
 ABERTH_MAXITER = 400
@@ -589,13 +589,18 @@ def _period_seeds(f: RationalMap, n: int, m: int) -> np.ndarray:
 
 
 def _tree_root(f: RationalMap):
-    """The repelling point of `_start_candidates` chordally farthest from
-    the first three images of the critical points, near which tree points
-    would coincide; None when there is none."""
-    try:
-        pts = sphere_array(_start_candidates(f))
-    except PreimageSolveFailed:
+    """The repelling point of period 1, else of period 2, chordally farthest
+    from the first three images of the critical points, near which tree
+    points would coincide; None when there is none."""
+    cands = []
+    for n in (1, 2):
+        try:
+            cands = cands or repelling_points(f, n)
+        except (RootFindingFailed, DegreeCapExceeded):
+            pass
+    if not cands:
         return None
+    pts = sphere_array(sorted(cands, key=SpherePoint.sort_key))
     post = [sphere_array(critical_points(f))]
     for _ in range(3):
         post.append(image_array(f, post[-1]))
@@ -682,8 +687,8 @@ def _point_json(p: SpherePoint):
 
 @dataclass
 class MaxEntropySample:
-    """The points of a batched backward walk (`backward_sample`), its burn-in
-    (steps per chain), the requested count and the seed."""
+    """The points of a backward-tree sample (`backward_sample`), its burn-in
+    (0: tree levels need none), the requested count and the seed."""
 
     points: list
     burn_in: int
@@ -696,25 +701,21 @@ def repelling_points(f: RationalMap, n: int) -> list:
     return [p for o in periodic_points(f, n) if o.stability == "repelling" for p in o.points]
 
 
-def _start_candidates(f: RationalMap):
-    for n in (1, 2):
-        try:
-            cands = repelling_points(f, n)
-        except (RootFindingFailed, DegreeCapExceeded):
-            continue
-        if cands:
-            return sorted(cands, key=SpherePoint.sort_key)
-    raise PreimageSolveFailed("no repelling low-period starting point found")
-
-
 def backward_sample(f: RationalMap, size: int, seed: int) -> MaxEntropySample:
-    """`size` points of the batched backward walk `_sampler_points` (at most
-    64 chains, uniform preimage choice), which approximate the measure of
-    maximal entropy.  The burn-in of BURN_IN steps counts per chain."""
+    """A sorted seeded subset of `size` points of the first level of d^k >=
+    size points of the backward tree of `_tree_root`, which equidistribute
+    for the measure of maximal entropy.  The level is grown whole: a thinned
+    one would be whole sibling groups, whose correlated log|f'| understate
+    the standard error of the Lyapunov exponent."""
     if f.degree < 2:
         raise ValueError("backward sampling requires degree >= 2")
-    pts = _sphere_points(_sampler_points(f, size, seed))
-    return MaxEntropySample(points=pts, burn_in=BURN_IN, count=size, seed=seed)
+    root = _tree_root(f)
+    depth = 1
+    while f.degree**depth < size:
+        depth += 1
+    level = np.concatenate([pts for k, pts, _ in _tree_batches(f, root, depth=depth) if k == depth])
+    pick = np.sort(np.random.default_rng(seed).choice(len(level), size, replace=False))
+    return MaxEntropySample(points=_sphere_points(level[pick]), burn_in=0, count=size, seed=seed)
 
 
 @dataclass
@@ -862,9 +863,9 @@ def _horner(c, w):
 
 def _preimage_rows(f, z):
     """All d preimages of each point of the sphere array z, one row each
-    (infinity as inf), and the mask of the rows solved as a batch: by the
-    quadratic formula at degree 2, else `_monic_roots`.  The other rows
-    (infinity, a vanishing leading coefficient) take `_preimage_values`."""
+    (infinity as inf), solved as a batch: by the quadratic formula at
+    degree 2, else `_monic_roots`.  The other rows (infinity, a vanishing
+    leading coefficient) take `_preimage_values`."""
     nc, dc = _preimage_coeffs(f)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coeffs = nc[None, :] - z[:, None] * dc[None, :]
@@ -881,28 +882,7 @@ def _preimage_rows(f, z):
     for i in np.flatnonzero(~ok):
         pre = _preimage_values(f, complex(z[i]) if np.isfinite(z[i]) else None)
         roots[i] = [math.inf if w is None else w for w in pre]
-    return roots, ok
-
-
-def _sampler_points(f: RationalMap, size: int, seed: int) -> np.ndarray:
-    """Batched backward sampling from repelling low-period points: at most
-    64 chains, uniform preimage choice, each after a burn-in of BURN_IN
-    steps.  The chains take the companion eigensolve (or the quadratic
-    formula at degree 2)."""
-    chains = int(min(64, max(8, size // 32 + 1)))
-    rng = np.random.default_rng(seed)
-    z = np.resize(sphere_array(_start_candidates(f)), chains)
-    out = np.empty((int(np.ceil(size / chains)), chains), dtype=complex)
-    for k in range(BURN_IN + len(out)):
-        # uniform draws: all rows at degree 2 (else the batch solved ones), then the rest
-        roots, ok = _preimage_rows(f, z)
-        rows = np.arange(chains) if f.degree == 2 else np.flatnonzero(ok)
-        z[rows] = roots[rows, rng.integers(0, f.degree, size=len(rows))]
-        for i in np.flatnonzero(~ok):
-            z[i] = roots[i, rng.integers(0, f.degree)]
-        if k >= BURN_IN:
-            out[k - BURN_IN] = z
-    return out.reshape(-1)[:size]
+    return roots
 
 
 def _tree_batches(f: RationalMap, root, width=math.inf, seed: int = 0, depth=None):
@@ -910,7 +890,10 @@ def _tree_batches(f: RationalMap, root, width=math.inf, seed: int = 0, depth=Non
     (level, points, last) per batch of at most PERIOD_DEGREE_CAP // d rows
     of the level above, so a period seed's level is one batch; `last` marks
     a level's final batch.  Of a level of more than `width` points, a seeded
-    random subset of `width` is expanded."""
+    random subset of `width` is expanded.  A root of None (`_tree_root`
+    found no repelling point) raises PreimageSolveFailed."""
+    if root is None:
+        raise PreimageSolveFailed("no repelling low-period point to grow the tree from")
     rng = np.random.default_rng(seed)
     d = f.degree
     rows = PERIOD_DEGREE_CAP // d
@@ -922,7 +905,7 @@ def _tree_batches(f: RationalMap, root, width=math.inf, seed: int = 0, depth=Non
         keep = np.sort(rng.choice(d * len(level), width, replace=False)) if wide else None
         parts = []
         for i0 in range(0, len(level), rows):
-            pts = _preimage_rows(f, level[i0 : i0 + rows])[0].reshape(-1)
+            pts = _preimage_rows(f, level[i0 : i0 + rows]).reshape(-1)
             yield k, pts, i0 + rows >= len(level)
             if wide:
                 lo, hi = np.searchsorted(keep, [d * i0, d * (i0 + rows)])
@@ -943,14 +926,11 @@ def julia_points(f: RationalMap, size: int, seed: int) -> np.ndarray:
     grid saturates (thin Cantor Julia sets): after two full-width levels in
     a row that each add fewer than max(1, size // 200) cells.  The points
     come out sorted by `SpherePoint.sort_key`."""
-    root = _tree_root(f)
-    if root is None:
-        raise PreimageSolveFailed("no repelling low-period point to grow the tree from")
     width = max(size, 512)
     seen = np.array([np.iinfo(np.int64).max])  # sorted, with a sentinel past every cell
     kept = [np.zeros(0, dtype=complex)]
     count = quiet = added = grown = 0
-    for _, batch, last in _tree_batches(f, root, width, seed):
+    for _, batch, last in _tree_batches(f, _tree_root(f), width, seed):
         cells, first = np.unique(_grid_cells(batch), return_index=True)
         at = np.searchsorted(seen, cells)
         new = seen[at] != cells

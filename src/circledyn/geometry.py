@@ -208,7 +208,7 @@ def invariance_check(f: RationalMap, circle: GeneralizedCircle, points=None) -> 
     the preimages of circle samples are evidence only."""
     images = image_array(f, circle.sample_points(FORWARD_SAMPLES))
     fwd_res = float(np.max(residuals(circle, images)))
-    pre, _ = _preimage_rows(f, circle.sample_points(PREIMAGE_SAMPLES))
+    pre = _preimage_rows(f, circle.sample_points(PREIMAGE_SAMPLES))
     pre_res = float(np.max(residuals(circle, pre.reshape(-1))))
     degree = real_line_degree(conjugate(f, normalize_to_real_line(circle, points)))
     return {

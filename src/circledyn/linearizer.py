@@ -280,7 +280,7 @@ def nonvanishing_witness(s: LinearizerSeries, f: RationalMap, count: int = 5) ->
     lam = s.multiplier
     r_safe = s.conv_radius_estimate / 8.0
 
-    chains = _preimage_rows(g, np.array([q]))[0][0]
+    chains = _preimage_rows(g, np.array([q]))[0]
     chains = chains[chordal_distances(q, chains) > 1e-9]
     chains = chains[np.lexsort((chains.imag, chains.real))]
     length = np.ones(len(chains), dtype=int)
@@ -288,7 +288,7 @@ def nonvanishing_witness(s: LinearizerSeries, f: RationalMap, count: int = 5) ->
     for _ in range(400):
         if not moving.size:
             break
-        pre = _preimage_rows(g, chains[moving])[0]
+        pre = _preimage_rows(g, chains[moving])
         chains[moving] = pre[np.arange(len(moving)), np.argmin(chordal_distances(q, pre), axis=1)]
         length[moving] += 1
         moving = moving[~(_modulus(chains[moving] - q) <= r_safe)]

@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 import warnings
 
@@ -271,6 +272,49 @@ def test_chordal_distances_broadcast_equal_scalar_bit_for_bit():
     zs = sphere_array(SPHERE_SAMPLES)
     got = chordal_distances(zs[:, None], zs[None, :])
     scalar = [[chordal_distance(p, q) for q in SPHERE_SAMPLES] for p in SPHERE_SAMPLES]
+    assert np.array_equal(got, np.array(scalar))
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        # a lift 1 + |z|^2 overflows
+        (1e300, 0.5, 2.0 / math.sqrt(1.25)),
+        (1e200, 1e-200, 2.0),
+        (1e300j, -1e300, 2.0 * math.sqrt(2.0) * 1e-300),
+        (1e308, -1e308, 4e-308),
+        (1e300, 1e300, 0.0),
+        (INF, 1e300, 2e-300),
+        # both lifts are finite, their product is not
+        (1e154, 10.0, 2.0 / math.sqrt(101.0)),
+        (1e90, 1e90j, 2.0 * math.sqrt(2.0) * 1e-90),
+    ],
+)
+def test_chordal_distance_reads_overflowing_lifts_in_the_charts(a, b, want):
+    assert chordal_distance(a, b) == pytest.approx(want, rel=1e-15, abs=0.0)
+    for p, q in ((a, b), (b, a)):
+        got = chordal_distances(p, sphere_array([q]))
+        assert np.array_equal(got, [chordal_distance(p, q)])
+
+
+def _decimal_chordal(a, b) -> float:
+    """The chordal distance of two finite points in 60-digit decimals, where
+    no lift overflows."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = [decimal.Decimal(v) for v in (a.real, a.imag, b.real, b.imag)]
+        gap = ((x[0] - x[2]) ** 2 + (x[1] - x[3]) ** 2).sqrt()
+        lifts = (1 + x[0] ** 2 + x[1] ** 2) * (1 + x[2] ** 2 + x[3] ** 2)
+        return float(2 * gap / lifts.sqrt())
+
+
+def test_chordal_distances_with_overflowing_lifts_match_a_decimal_reference():
+    points = [0.0, 1.0, -2.5 + 1.25j, 1e8, 1e-200, 1e77, 1e90j, 1e154, 1e200 + 1e200j, -1e300j, 1e300, -1e308]
+    zs = sphere_array(points)
+    got = chordal_distances(zs[:, None], zs[None, :])
+    want = np.array([[_decimal_chordal(a, b) for b in points] for a in points])
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    scalar = [[chordal_distance(p, q) for q in points] for p in points]
     assert np.array_equal(got, np.array(scalar))
 
 

@@ -195,7 +195,7 @@ def test_period_seeds_take_the_ring_without_a_repelling_point(monkeypatch):
 def test_preimage_rows_match_the_scalar_preimages(expr):
     f = lattes_doubling_map() if expr == "lattes" else parse_map(expr)
     z = np.array([0.3 - 0.2j, 2.0 / 3.0, -1.5 + 0.7j, complex(math.inf, 0.0), 5e8 - 3e8j])
-    rows, _ = dynamics._preimage_rows(f, z)
+    rows = dynamics._preimage_rows(f, z)
     for w, row in zip(z, rows):
         want = sphere_array(preimage_points(f, w if np.isfinite(w) else INF))
         got = sphere_array([SpherePoint.of(r) for r in row])
@@ -389,15 +389,42 @@ def test_zero_preimage_polynomial_raises():
 
 
 @pytest.mark.parametrize(
-    "expr", ["z^2-2", "z^3-3*z", "lattes", "(z^2-4)/(1+0.25*z)"]
+    "expr", ["z^2-2", "z^3-3*z", "lattes", "(z^2-4)/(1+0.25*z)", "lattes-from-infinity"]
 )
-def test_backward_sample_is_the_batched_walk_bit_for_bit(expr):
-    # some Lattes chains start at infinity, a degenerate row of the batch
+def test_backward_sample_is_a_seeded_subset_of_a_tree_level_bit_for_bit(monkeypatch, expr):
+    # 2000 points of the first level of at least 2000, grown whole; from the
+    # repelling fixed point infinity of the Lattes map, every level holds
+    # infinity, a degenerate row of each batch
+    f = lattes_doubling_map() if expr.startswith("lattes") else parse_map(expr)
+    if expr == "lattes-from-infinity":
+        monkeypatch.setattr(dynamics, "_tree_root", lambda f: complex(math.inf, 0.0))
+    depth = {2: 11, 3: 7, 4: 6}[f.degree]
+    level = _tree_level(f, depth)
+    assert len(level) == f.degree**depth and f.degree ** (depth - 1) < 2000 <= len(level)
+    assert np.all(np.isfinite(level)) == (expr != "lattes-from-infinity")
+    pick = np.sort(np.random.default_rng(8).choice(len(level), 2000, replace=False))
+    got = backward_sample(f, 2000, seed=8)
+    assert repr(sphere_array(got.points).tolist()) == repr(level[pick].tolist())
+    assert (got.burn_in, got.count, got.seed) == (0, 2000, 8)
+
+
+def test_tree_samples_without_a_tree_root_raise(monkeypatch):
+    monkeypatch.setattr(dynamics, "_tree_root", lambda f: None)
+    with pytest.raises(PreimageSolveFailed, match="no repelling low-period point"):
+        backward_sample(parse_map("z^2-2"), 100, seed=1)
+    with pytest.raises(PreimageSolveFailed, match="no repelling low-period point"):
+        julia_points(parse_map("z^2-2"), 100, seed=1)
+
+
+@pytest.mark.parametrize("expr", ["z^2", "z^2-2", "z^3-3*z", "lattes"])
+def test_lyapunov_estimates_hold_at_twenty_seeds(expr):
+    # chi = log d for the polynomials, (1/2) log d for the Lattes map, within
+    # 3 standard errors (and 1e-12 for z^2, whose estimates are all equal)
     f = lattes_doubling_map() if expr == "lattes" else parse_map(expr)
-    got = backward_sample(f, 2000, seed=8).points
-    assert repr(sphere_array(got).tolist()) == repr(
-        dynamics._sampler_points(f, 2000, seed=8).tolist()
-    )
+    want = math.log(f.degree) / (2.0 if expr == "lattes" else 1.0)
+    for seed in range(1, 21):
+        est = lyapunov_exponent(f, backward_sample(f, 10000, seed))
+        assert abs(est.chi - want) <= 3.0 * est.chi_stderr + 1e-12, (seed, est)
 
 
 def test_lyapunov_squaring():
@@ -834,13 +861,14 @@ def test_orbit_closing_memory_does_not_grow_with_the_square_of_the_degree():
 def _kernel_points():
     """Sphere points for the neighbour kernel: infinity, 0 and the poles
     +-1 of EX2, both sides of |z| = 1, points 1e-13 apart, exact copies
-    (ties go to the lowest index) and a wide spread of moduli."""
+    (ties go to the lowest index) and a wide spread of moduli, up to 1e300,
+    whose lift 1 + |z|^2 overflows."""
     rng = np.random.default_rng(21)
     spread = (rng.normal(size=1500) + 1j * rng.normal(size=1500)) * np.exp(4.0 * rng.normal(size=1500))
     circle = np.exp(2j * np.pi * rng.random(300))
     return np.concatenate(
         [
-            [complex(math.inf, 0.0), 0.0, 1.0, -1.0, 1e-300, 1e30j],
+            [complex(math.inf, 0.0), 0.0, 1.0, -1.0, 1e-300, 1e30j, 1e300],
             circle * (1.0 - 1e-12),
             circle * (1.0 + 1e-12),
             spread,
@@ -1036,12 +1064,12 @@ ARCSINE_LEVELS = {"z^3-3*z": 9, "z^4-4*z^2+2": 7, "z^2-2": 14}
 @pytest.mark.parametrize("walk", ["narrow", "tree"])
 def test_backward_walk_samples_the_arcsine_measure(expr, walk):
     # the three Chebyshev maps have J = [-2, 2] with the arcsine law as their
-    # measure of maximal entropy.  Distances of the walk at seed 1 / of the
-    # whole tree level: z^3-3z 0.0042 / 2.5e-5, z^4-4z^2+2 0.0047 / 3.7e-5,
-    # z^2-2 0.0033 / 4.1e-5
+    # measure of maximal entropy.  Distances of `backward_sample`'s 20000
+    # points at seed 1 / of the whole tree level: z^3-3z 0.0049 / 2.5e-5,
+    # z^4-4z^2+2 0.0033 / 3.7e-5, z^2-2 0.0033 / 4.1e-5
     f = parse_map(expr)
     if walk == "narrow":
-        z, tol = dynamics._sampler_points(f, 20000, seed=1), 0.02
+        z, tol = sphere_array(backward_sample(f, 20000, seed=1).points), 0.02
     else:
         z, tol = _tree_level(f, ARCSINE_LEVELS[expr]), 1e-3
         assert len(z) == f.degree ** ARCSINE_LEVELS[expr]
