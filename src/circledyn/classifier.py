@@ -68,7 +68,16 @@ ESCAPE_CAP = 200
 # periods searched for a non-repelling cycle on an invariant circle
 GAP_CYCLE_PERIODS = 3
 
-LATTES_SIGNATURES = {(2, 2, 2, 2), (2, 4, 4), (3, 3, 3), (2, 3, 6)}
+# flat orbifold signatures: the sorted ramification values nu > 1, with
+# math.inf for infinity, of the parabolic orbifolds sum(1 - 1/nu) = 2
+FLAT_SIGNATURES = {
+    (math.inf, math.inf): "POWER",
+    (2, 2, math.inf): "CHEBYSHEV",
+    (2, 2, 2, 2): "LATTES",
+    (2, 4, 4): "LATTES",
+    (3, 3, 3): "LATTES",
+    (2, 3, 6): "LATTES",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +86,14 @@ LATTES_SIGNATURES = {(2, 2, 2, 2), (2, 4, 4), (3, 3, 3), (2, 3, 6)}
 
 @dataclass
 class PostcriticalAnalysis:
+    """The critical points with their local degrees, the postcritical set,
+    whether every critical orbit lands on a cycle and, when they all do, the
+    orbifold signature: the sorted ramification values nu > 1 of the
+    postcritical points, with math.inf for an infinite one."""
+
     critical: list  # (SpherePoint, local degree)
-    orbits: list  # forward orbit segments per critical point
     finite: bool
     postcritical_set: list
-    cycles: list  # list of cycles (lists of SpherePoints)
-    cycle_has_critical: list
-    ramification: dict = None  # postcritical point index -> nu (None = infinite)
     orbifold_signature: tuple = None
 
 
@@ -99,7 +109,8 @@ def _step_with_pole_snap(f: RationalMap, p: SpherePoint, den_roots) -> SpherePoi
 
 
 def postcritical_analysis(f: RationalMap, depth: int = POSTCRITICAL_DEPTH) -> PostcriticalAnalysis:
-    """Forward orbits of all critical points with cycle detection.
+    """Forward orbits of all critical points with cycle detection, and the
+    orbifold of the image graph they trace.
 
     A cycle landing is only believed when the orbit arrives abruptly (or
     exactly): orbits that creep up on an attracting cycle are reported as
@@ -116,69 +127,58 @@ def postcritical_analysis(f: RationalMap, depth: int = POSTCRITICAL_DEPTH) -> Po
 
     den_roots = finite_poles(f)
 
-    known_points: list = []
+    known: list = []  # orbit points, snapped together within 1e-9
+    image: dict = {}  # index into known -> index of its image
+    local_degree: dict = {}  # index into known -> local degree, where critical
 
-    def snap(p: SpherePoint) -> SpherePoint:
-        k = first_within(p, sphere_array(known_points), 1e-9)
+    def snap(p: SpherePoint) -> int:
+        k = first_within(p, sphere_array(known), 1e-9)
         if k >= 0:
-            return known_points[k]
-        known_points.append(p)
-        return p
-
-    orbits = []
-    cycles = []
-    all_landed = True
-    for start, _deg in crit:
-        orbit = [snap(start)]
-        landed = False
-        for _ in range(depth):
-            nxt = snap(_step_with_pole_snap(f, orbit[-1], den_roots))
-            hit = first_within(nxt, sphere_array(orbit), CYCLE_MATCH_TOL)
-            orbit.append(nxt)
-            if hit >= 0:
-                entry_ok = _abrupt_entry(orbit, hit, len(orbit) - 1)
-                if entry_ok:
-                    cyc = orbit[hit : len(orbit) - 1]
-                    cycles.append(cyc)
-                    landed = True
-                break
-        orbits.append(orbit)
-        if not landed:
-            all_landed = False
-
-    # deduplicate cycles
-    uniq_cycles = []
-    for cyc in cycles:
-        if not any(_near_any(cyc, known, CYCLE_MATCH_TOL) for known in uniq_cycles):
-            uniq_cycles.append(cyc)
+            return k
+        known.append(p)
+        return len(known) - 1
 
     post = []
-    for orbit in orbits:
-        for p in orbit[1:]:
-            if first_within(p, sphere_array(post), CYCLE_MATCH_TOL) < 0:
-                post.append(p)
+    all_landed = True
+    for start, deg in crit:
+        orbit = [snap(start)]
+        local_degree[orbit[0]] = deg
+        landed = False
+        for _ in range(depth):
+            nxt = snap(_step_with_pole_snap(f, known[orbit[-1]], den_roots))
+            hit = first_within(known[nxt], sphere_array(known)[orbit], CYCLE_MATCH_TOL)
+            # a closing orbit maps onto its earlier point, not the fresh copy,
+            # so its cycle stays closed in the image graph
+            image[orbit[-1]] = nxt if hit < 0 else orbit[hit]
+            orbit.append(nxt)
+            if hit >= 0:
+                landed = _abrupt_entry([known[i] for i in orbit], hit, len(orbit) - 1)
+                break
+        all_landed = all_landed and landed
+        for i in orbit[1:]:
+            if first_within(known[i], sphere_array(post), CYCLE_MATCH_TOL) < 0:
+                post.append(known[i])
     post.sort(key=lambda p: p.sort_key())
 
-    crit_points = [c for c, _ in crit]
-    cycle_has_critical = [_near_any(cyc, crit_points, 1e-7) for cyc in uniq_cycles]
-
-    analysis = PostcriticalAnalysis(
-        critical=crit,
-        orbits=orbits,
-        finite=all_landed,
-        postcritical_set=post,
-        cycles=uniq_cycles,
-        cycle_has_critical=cycle_has_critical,
-    )
+    analysis = PostcriticalAnalysis(critical=crit, finite=all_landed, postcritical_set=post)
     if all_landed:
-        _compute_orbifold(f, analysis)
+        # nu is the least function with e(w) nu(w) | nu(f(w)), by lcm
+        # propagation capped at 64 as infinity; nu = 1 off the postcritical
+        # set, and copies within CYCLE_MATCH_TOL are one postcritical point
+        where = [first_within(p, sphere_array(post), CYCLE_MATCH_TOL) for p in known]
+        nu = [1] * len(post)
+        changed = True
+        while changed:
+            changed = False
+            for w, v in image.items():
+                src, dst = where[w], where[v]
+                val = local_degree.get(w, 1) * (nu[src] if src >= 0 else 1)
+                val = math.inf if math.inf in (val, nu[dst]) else math.lcm(val, nu[dst])
+                if val != nu[dst]:
+                    nu[dst] = val if val <= 64 else math.inf
+                    changed = True
+        analysis.orbifold_signature = tuple(sorted(v for v in nu if v > 1))
     return analysis
-
-
-def _near_any(points, others, tol: float) -> bool:
-    """Is some point within chordal distance tol of some other point?"""
-    zs = sphere_array(others)
-    return any(first_within(p, zs, tol) >= 0 for p in points)
 
 
 def _abrupt_entry(orbit, hit_index, close_index) -> bool:
@@ -194,123 +194,18 @@ def _abrupt_entry(orbit, hit_index, close_index) -> bool:
     return prev_dist > LANDING_APPROACH_VETO
 
 
-def _compute_orbifold(f: RationalMap, analysis: PostcriticalAnalysis):
-    """Ramification function on the postcritical set by lcm propagation."""
-    post = analysis.postcritical_set
-    # preimage structure of each postcritical point
-    post_z = sphere_array(post)
-    # per postcritical point: (local degree e, index of the postcritical
-    # point at the preimage or -1) for each distinct preimage
-    pre = []
-    for y in post:
-        # local degree at w = number of preimages clustered at w
-        clustered = []
-        degrees = []
-        for w in preimage_points(f, y):
-            k = first_within(w, sphere_array(clustered), 1e-6)
-            if k >= 0:
-                degrees[k] += 1
-            else:
-                clustered.append(w)
-                degrees.append(1)
-        pre.append([(e, first_within(w, post_z, 1e-6)) for w, e in zip(clustered, degrees)])
-
-    nu = [1] * len(post)
-    CAP = 64
-    for _ in range(3 * len(post) + 8):
-        changed = False
-        for i, y in enumerate(post):
-            val = 1
-            for e, j in pre[i]:
-                nw = nu[j] if j >= 0 else 1
-                contrib = None if nw is None else e * nw
-                if contrib is None or (val is not None and contrib > CAP):
-                    val = None
-                    break
-                val = math.lcm(val, contrib)
-                if val > CAP:
-                    val = None
-                    break
-            if val != nu[i]:
-                nu[i] = val
-                changed = True
-        if not changed:
-            break
-    analysis.ramification = {i: nu[i] for i in range(len(post))}
-    finite_sig = tuple(sorted(v for v in nu if v is not None and v > 1))
-    if any(v is None for v in nu):
-        analysis.orbifold_signature = None
-    else:
-        analysis.orbifold_signature = finite_sig
-
-
 # ---------------------------------------------------------------------------
 # exceptional recognition
 
 
 def detect_exceptional(f: RationalMap, analysis: PostcriticalAnalysis = None) -> str:
-    """One of POWER, CHEBYSHEV, LATTES, NONE."""
+    """One of POWER, CHEBYSHEV, LATTES, NONE: a postcritically finite map is
+    exceptional exactly when its orbifold is parabolic, and the flat
+    signature names the class; a map whose critical orbits do not all land
+    is NONE."""
     if analysis is None:
         analysis = postcritical_analysis(f)
-    if not analysis.finite:
-        return "NONE"
-    d = f.degree
-    ram = [(p, deg) for p, deg in analysis.critical if deg == d]
-
-    def orbit_of(p, steps):
-        out = [p]
-        for _ in range(steps):
-            out.append(f(out[-1]))
-        return out
-
-    # POWER: two totally ramified points forming an invariant pair
-    if len(ram) == 2:
-        pair = [ram[0][0], ram[1][0]]
-        ok = True
-        for p in pair:
-            img = f(p)
-            if not any(chordal_distance(img, q) <= 1e-7 for q in pair):
-                ok = False
-        if ok:
-            return "POWER"
-
-    # CHEBYSHEV: one totally ramified fixed/2-periodic point; the rest of the
-    # postcritical set is an invariant pair of finite-plane points
-    periodic_ram = []
-    for p, _deg in ram:
-        orb = orbit_of(p, 2)
-        if chordal_distance(orb[1], p) <= 1e-7 or chordal_distance(orb[2], p) <= 1e-7:
-            periodic_ram.append(p)
-    if len(periodic_ram) == 1:
-        t = periodic_ram[0]
-        t_cycle = [t, f(t)]
-        rest = [
-            p
-            for p in analysis.postcritical_set
-            if not any(chordal_distance(p, q) <= 1e-7 for q in t_cycle)
-        ]
-        finite_rest = [p for p in rest if not p.infinite]
-        if len(rest) == 2 and len(finite_rest) == 2:
-            ok = True
-            for p in rest:
-                img = f(p)
-                if not any(chordal_distance(img, q) <= 1e-7 for q in rest):
-                    ok = False
-                # the invariant endpoint pair carries no critical point
-                # (a superattracting pair signals a different map class)
-                if any(chordal_distance(p, c) <= 1e-7 for c, _ in analysis.critical):
-                    ok = False
-            if ok:
-                return "CHEBYSHEV"
-
-    # LATTES: no totally ramified periodic point, critical-free postcritical
-    # cycles, and a flat orbifold signature
-    if not periodic_ram and not ram:
-        if analysis.cycles and not any(analysis.cycle_has_critical):
-            sig = analysis.orbifold_signature
-            if sig in LATTES_SIGNATURES:
-                return "LATTES"
-    return "NONE"
+    return FLAT_SIGNATURES.get(analysis.orbifold_signature, "NONE")
 
 
 def lattes_doubling_map(g2: float = 4.0, g3: float = 0.0) -> RationalMap:

@@ -44,13 +44,17 @@ def test_postcritical_aperiodic_not_finite():
 
 
 def test_detect_power():
-    assert detect_exceptional(parse_map("z^3")) == "POWER"
-    assert detect_exceptional(parse_map("z^2")) == "POWER"
+    for text in ("z^3", "z^2"):
+        f = parse_map(text)
+        an = postcritical_analysis(f)
+        assert (detect_exceptional(f, an), an.orbifold_signature) == ("POWER", (math.inf, math.inf))
 
 
 def test_detect_chebyshev():
-    assert detect_exceptional(parse_map("2*z^2-1")) == "CHEBYSHEV"
-    assert detect_exceptional(parse_map("z^2-2")) == "CHEBYSHEV"
+    for text in ("2*z^2-1", "z^2-2"):
+        f = parse_map(text)
+        an = postcritical_analysis(f)
+        assert (detect_exceptional(f, an), an.orbifold_signature) == ("CHEBYSHEV", (2, 2, math.inf))
 
 
 def test_detect_lattes_signature():
@@ -303,8 +307,13 @@ def test_case_iii_verdict_stable_under_conjugation():
 def test_detect_exceptional_rejects_basilica_and_accepts_inverse_power():
     # the superattracting-two-cycle quadratic is not exceptional even though
     # a totally ramified fixed point plus an invariant pair exist
-    assert detect_exceptional(parse_map("z^2-1")) == "NONE"
-    assert detect_exceptional(parse_map("1/(z^2)")) == "POWER"
+    for f, label, signature in (
+        (parse_map("z^2-1"), "NONE", (math.inf, math.inf, math.inf)),
+        (RationalMap([1j, 0, 1], [1]), "NONE", (2, 2, 2, math.inf)),  # z^2 + i
+        (parse_map("1/(z^2)"), "POWER", (math.inf, math.inf)),
+    ):
+        an = postcritical_analysis(f)
+        assert (detect_exceptional(f, an), an.orbifold_signature) == (label, signature)
 
 
 def test_inconclusive_is_first_class():
@@ -377,6 +386,35 @@ def test_verdicts_survive_seeded_conjugation():
         for k, m in enumerate(conjugators):
             rep = dichotomy_verdict(conjugate(f, m), n_max=4)
             assert rep.verdict == want, (text, k, rep.inconclusive_reason)
+
+
+@pytest.mark.parametrize("draw", range(10))
+@pytest.mark.parametrize(
+    "name, label, signature",
+    [
+        ("z^3", "POWER", (math.inf, math.inf)),
+        ("4*z^3-3*z", "CHEBYSHEV", (2, 2, math.inf)),
+        ("lattes", "LATTES", (2, 2, 2, 2)),
+    ],
+    ids=["z^3", "T3", "lattes"],
+)
+def test_exceptional_conjugates_keep_label_and_signature(name, label, signature, draw):
+    # the local degrees come from the critical points, not from clustered
+    # preimages, whose triple roots spread past any merge radius
+    f = lattes_doubling_map() if name == "lattes" else parse_map(name)
+    g = conjugate(f, _seeded_conjugators(10)[draw])
+    an = postcritical_analysis(g)
+    assert (detect_exceptional(g, an), an.orbifold_signature) == (label, signature)
+
+
+@pytest.mark.parametrize("text", ["4*z^3-3*z", "2*z^2-1"])
+@pytest.mark.parametrize("m", [Moebius(0, 1, 1, -1), Moebius(0, 1, 1, 1)], ids=["1/(z-1)", "1/(z+1)"])
+def test_chebyshev_conjugate_with_a_postcritical_point_at_infinity(text, m):
+    # the conjugate sends the postcritical point 1 or -1 to infinity
+    g = conjugate(parse_map(text), m)
+    an = postcritical_analysis(g)
+    assert any(p.infinite for p in an.postcritical_set)
+    assert (detect_exceptional(g, an), an.orbifold_signature) == ("CHEBYSHEV", (2, 2, math.inf))
 
 
 @pytest.mark.parametrize("draw", [2, 29, 32])
