@@ -207,12 +207,6 @@ def chordal_distances(p, zs) -> np.ndarray:
     return out
 
 
-def first_within(p, zs, tol: float) -> int:
-    """Index of the first of zs within chordal distance tol of p, or -1."""
-    hits = np.flatnonzero(chordal_distances(p, zs) <= tol)
-    return int(hits[0]) if hits.size else -1
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 

@@ -21,20 +21,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    INF,
     Moebius,
     Poly,
     RationalMap,
     SpherePoint,
     chordal_distance,
+    chordal_distances,
     conjugate,
-    critical_points,
-    finite_poles,
-    first_within,
     sphere_array,
 )
 from .dynamics import (
     _multiplicity,
+    _near_pairs,
+    critical_orbits,
     julia_points,
     periodic_points,
     preimage_points,
@@ -97,101 +96,63 @@ class PostcriticalAnalysis:
     orbifold_signature: tuple = None
 
 
-def _step_with_pole_snap(f: RationalMap, p: SpherePoint, den_roots) -> SpherePoint:
-    """One forward step; points within rounding reach of a pole go to
-    infinity exactly, so postcritical orbits land instead of exploding."""
-    if not p.infinite and den_roots.size:
-        dist = np.abs(den_roots - p.value)
-        j = int(np.argmin(dist))
-        if dist[j] <= 1e-8 * max(1.0, abs(den_roots[j])):
-            return INF
-    return f(p)
+def postcritical_analysis(f: RationalMap) -> PostcriticalAnalysis:
+    """The critical orbits (`critical_orbits`, POSTCRITICAL_DEPTH steps),
+    read for their landings, the postcritical set and the orbifold of the
+    image graph they trace.
 
-
-def postcritical_analysis(f: RationalMap, depth: int = POSTCRITICAL_DEPTH) -> PostcriticalAnalysis:
-    """Forward orbits of all critical points with cycle detection, and the
-    orbifold of the image graph they trace.
-
-    A cycle landing is only believed when the orbit arrives abruptly (or
-    exactly): orbits that creep up on an attracting cycle are reported as
-    non-finite, since they converge without ever landing.
+    An orbit lands at its first point within CYCLE_MATCH_TOL of an earlier
+    one.  The landing is believed only when it is abrupt, the point before
+    the cycle entry still farther than LANDING_APPROACH_VETO from the cycle:
+    orbits creeping up on an attracting cycle (including blow-up toward a
+    superattracting infinity) never land, and neither do orbits that reach
+    no cycle within the depth.  The map is finite when every orbit lands.
     """
-    # local degree at a critical point = 1 + Wronskian multiplicity
-    crit = []
-    for p in critical_points(f):
-        k = first_within(p, sphere_array([q for q, _ in crit]), 1e-9)
-        if k >= 0:
-            crit[k] = (crit[k][0], crit[k][1] + 1)
-        else:
-            crit.append((p, 2))
+    orbits, degrees = critical_orbits(f, POSTCRITICAL_DEPTH)
+    finite = True
+    images, sources, targets, weights = [], [], [], []
+    for z, degree in zip(orbits.T, degrees.tolist()):
+        dist = chordal_distances(z[:, None], z[None, :])
+        landings = np.argwhere(np.tril(dist <= CYCLE_MATCH_TOL, -1))  # (close, hit), row by row
+        landed = len(landings) > 0
+        close, hit = landings[0].tolist() if landed else (len(z) - 1, 0)
+        finite &= landed and bool(hit == 0 or dist[hit - 1, hit:close].min() > LANDING_APPROACH_VETO)
+        images.append(z[1 : close + 1])
+        # the closing point maps onto its earlier copy, so its cycle stays
+        # closed in the image graph
+        sources.append(z[:close])
+        targets.append(np.append(z[1:close], z[hit]))
+        weights += [degree] + [1] * (close - 1)
 
-    den_roots = finite_poles(f)
+    # an image within CYCLE_MATCH_TOL of an earlier one is the same point
+    images = np.concatenate(images)
+    i, j, _ = _near_pairs(images, images, CYCLE_MATCH_TOL)
+    post = sorted(map(SpherePoint.of, np.delete(images, i[j < i]).tolist()), key=SpherePoint.sort_key)
 
-    known: list = []  # orbit points, snapped together within 1e-9
-    image: dict = {}  # index into known -> index of its image
-    local_degree: dict = {}  # index into known -> local degree, where critical
-
-    def snap(p: SpherePoint) -> int:
-        k = first_within(p, sphere_array(known), 1e-9)
-        if k >= 0:
-            return k
-        known.append(p)
-        return len(known) - 1
-
-    post = []
-    all_landed = True
-    for start, deg in crit:
-        orbit = [snap(start)]
-        local_degree[orbit[0]] = deg
-        landed = False
-        for _ in range(depth):
-            nxt = snap(_step_with_pole_snap(f, known[orbit[-1]], den_roots))
-            hit = first_within(known[nxt], sphere_array(known)[orbit], CYCLE_MATCH_TOL)
-            # a closing orbit maps onto its earlier point, not the fresh copy,
-            # so its cycle stays closed in the image graph
-            image[orbit[-1]] = nxt if hit < 0 else orbit[hit]
-            orbit.append(nxt)
-            if hit >= 0:
-                landed = _abrupt_entry([known[i] for i in orbit], hit, len(orbit) - 1)
-                break
-        all_landed = all_landed and landed
-        for i in orbit[1:]:
-            if first_within(known[i], sphere_array(post), CYCLE_MATCH_TOL) < 0:
-                post.append(known[i])
-    post.sort(key=lambda p: p.sort_key())
-
-    analysis = PostcriticalAnalysis(critical=crit, finite=all_landed, postcritical_set=post)
-    if all_landed:
+    critical = list(zip(map(SpherePoint.of, orbits[0].tolist()), degrees.tolist()))
+    analysis = PostcriticalAnalysis(critical=critical, finite=finite, postcritical_set=post)
+    if finite:
         # nu is the least function with e(w) nu(w) | nu(f(w)), by lcm
-        # propagation capped at 64 as infinity; nu = 1 off the postcritical
-        # set, and copies within CYCLE_MATCH_TOL are one postcritical point
-        where = [first_within(p, sphere_array(post), CYCLE_MATCH_TOL) for p in known]
+        # propagation capped at 64 as infinity; nu = 1 off the postcritical set
+        post_z = sphere_array(post)
+
+        def where(points):
+            near = chordal_distances(np.concatenate(points)[:, None], post_z[None, :]) <= CYCLE_MATCH_TOL
+            return np.where(near.any(axis=1), np.argmax(near, axis=1), -1).tolist()
+
+        src, dst = where(sources), where(targets)
         nu = [1] * len(post)
         changed = True
         while changed:
             changed = False
-            for w, v in image.items():
-                src, dst = where[w], where[v]
-                val = local_degree.get(w, 1) * (nu[src] if src >= 0 else 1)
-                val = math.inf if math.inf in (val, nu[dst]) else math.lcm(val, nu[dst])
-                if val != nu[dst]:
-                    nu[dst] = val if val <= 64 else math.inf
+            for s, t, e in zip(src, dst, weights):
+                val = e * (nu[s] if s >= 0 else 1)
+                val = math.inf if math.inf in (val, nu[t]) else math.lcm(val, nu[t])
+                if val != nu[t]:
+                    nu[t] = val if val <= 64 else math.inf
                     changed = True
         analysis.orbifold_signature = tuple(sorted(v for v in nu if v > 1))
     return analysis
-
-
-def _abrupt_entry(orbit, hit_index, close_index) -> bool:
-    """A landing is believed only when the point before the cycle entry was
-    still far from the cycle: orbits creeping up on an attracting cycle
-    (including blow-up toward a superattracting infinity) never land."""
-    if hit_index == 0:
-        return True
-    prev = orbit[hit_index - 1]
-    prev_dist = min(
-        chordal_distance(prev, orbit[j]) for j in range(hit_index, close_index)
-    )
-    return prev_dist > LANDING_APPROACH_VETO
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .algebra import (
     chordal_distance,
     chordal_distances,
     critical_points,
+    finite_poles,
     _modulus,
     _substitute,
     cluster_roots,
@@ -154,6 +155,35 @@ def _preimage_values(f: RationalMap, z) -> list:
     if len(out) != d:
         raise PreimageSolveFailed(f"expected {d} preimages, found {len(out)}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# critical orbits
+
+
+def critical_orbits(f: RationalMap, steps: int):
+    """The distinct critical points and their first `steps` images, as the
+    columns of a (steps + 1) x k sphere array, with their local degrees
+    (1 + Wronskian multiplicity; copies within chordal 1e-9 are one point).
+
+    A point within rounding reach of a pole maps to infinity exactly, so
+    orbits through a pole land instead of exploding.  The rows stop early
+    at the first step that moves no point: every orbit then sits at a fixed
+    point, which that last row repeats."""
+    crit = sphere_array(critical_points(f))
+    first = np.argmax(chordal_distances(crit[:, None], crit[None, :]) <= 1e-9, axis=1)
+    keep = np.flatnonzero(first == np.arange(len(crit)))
+    poles = finite_poles(f)
+    reach = 1e-8 * np.fmax(1.0, np.abs(poles))
+    rows = [crit[keep]]
+    for _ in range(steps):
+        z = rows[-1]
+        image = image_array(f, z)
+        image[np.any(np.abs(z[:, None] - poles) <= reach, axis=1)] = math.inf
+        rows.append(image)
+        if np.array_equal(image, z):
+            break
+    return np.array(rows), 1 + np.bincount(first)[keep]
 
 
 # ---------------------------------------------------------------------------

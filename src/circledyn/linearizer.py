@@ -31,7 +31,6 @@ from .algebra import (
     _reciprocal,
     chordal_distance,
     chordal_distances,
-    critical_points,
     deriv_coeffs,
     image_array,
     polyval,
@@ -43,6 +42,7 @@ from .dynamics import (
     _orbit_data,
     _point_json,
     _preimage_rows,
+    critical_orbits,
     periodic_points,
 )
 from .errors import (
@@ -231,20 +231,6 @@ def valiron_order(s: LinearizerSeries, f: RationalMap):
     return rho_formula, slope
 
 
-def _check_not_postcritical(f: RationalMap, p: SpherePoint):
-    depth = POSTCRITICAL_CHECK_DEPTH
-    orbit = sphere_array(critical_points(f))
-    for _ in range(depth + 1):
-        if np.any(chordal_distances(p, orbit) <= 1e-9):
-            raise BasePointPostcritical(
-                f"base point {p} lies on a critical orbit (depth {depth})"
-            )
-        image = image_array(f, orbit)
-        if np.array_equal(image, orbit):  # every orbit has reached a fixed point
-            return
-        orbit = image
-
-
 def _local_invert(s: LinearizerSeries, w: complex):
     """Solve series(z) = w for small z by Newton on the truncated series."""
     series = _chart_poly(s)
@@ -272,9 +258,13 @@ def nonvanishing_witness(s: LinearizerSeries, f: RationalMap, count: int = 5) ->
     Solutions are found by pulling nontrivial preimage chains of p back into
     the series disc, all chains a step at a time, each to the preimage
     nearest p; inverting locally; and rescaling by powers of the multiplier.
-    Passes when min |DPsi| > 1e-6 over the witnesses.
+    Passes when min |DPsi| > 1e-6 over the witnesses.  A base point on a
+    critical orbit, where DPsi vanishes at some solutions, raises
+    BasePointPostcritical.
     """
-    _check_not_postcritical(f, s.base_point)
+    depth = POSTCRITICAL_CHECK_DEPTH
+    if np.any(chordal_distances(s.base_point, critical_orbits(f, depth)[0]) <= 1e-9):
+        raise BasePointPostcritical(f"base point {s.base_point} lies on a critical orbit (depth {depth})")
     g = _chart_map(s, f)
     q = _chart_poly(s)[0]  # the base point in its chart
     lam = s.multiplier

@@ -39,8 +39,12 @@ def test_postcritical_chebyshev_orbit():
 
 
 def test_postcritical_aperiodic_not_finite():
-    an = postcritical_analysis(parse_map("z^2+0.3"))
-    assert not an.finite
+    # the orbit of 0 blows up toward the superattracting fixed point
+    # infinity (z^2 + 0.3) or creeps up on an attracting 2-cycle (z^2 - 1.1):
+    # it comes within CYCLE_MATCH_TOL of its cycle without ever landing
+    for text in ("z^2+0.3", "z^2-1.1"):
+        an = postcritical_analysis(parse_map(text))
+        assert an.finite is False, text
 
 
 def test_detect_power():
@@ -64,6 +68,11 @@ def test_detect_lattes_signature():
     np.testing.assert_allclose(lat.num.coeffs.real, want_num, atol=1e-12)
     an = postcritical_analysis(lat)
     assert an.finite
+    # the critical values -1, 0 and 1 are poles: their images snap to
+    # infinity exactly instead of growing to about 1e15
+    assert [p.infinite for p in an.postcritical_set] == [False, False, False, True]
+    finite_pts = [p.value for p in an.postcritical_set[:3]]
+    np.testing.assert_allclose(finite_pts, [-1.0, 0.0, 1.0], atol=1e-12)
     assert an.orbifold_signature == (2, 2, 2, 2)
     assert detect_exceptional(lat, an) == "LATTES"
 

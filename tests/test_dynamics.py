@@ -24,6 +24,7 @@ from circledyn.dynamics import (
     MaxEntropySample,
     _aberth_functional,
     backward_sample,
+    critical_orbits,
     cycle_multiplier,
     julia_cloud,
     julia_points,
@@ -156,6 +157,28 @@ def test_period_seeds_are_m_distinct_finite_points(expr, n):
     assert seeds.shape == (m,) and np.all(np.isfinite(seeds))
     gaps = np.abs(seeds[:, None] - seeds[None, :]) + np.eye(m)
     assert np.min(gaps) > 1e-6
+
+
+def test_critical_orbits_of_a_power_map():
+    # z^4: the critical points 0 and infinity, each of multiplicity 3, are
+    # fixed, so the rows stop after one step
+    orbits, degrees = critical_orbits(parse_map("z^4"), 60)
+    assert orbits.shape == (2, 2)
+    assert orbits[0, 0] == 0 and np.isinf(orbits[0, 1])
+    assert degrees.tolist() == [4, 4]
+    orbits, degrees = critical_orbits(parse_map("z^2"), 60)
+    assert orbits.shape == (2, 2) and np.array_equal(orbits[0], orbits[1])
+    assert degrees.tolist() == [2, 2]
+
+
+def test_critical_orbits_of_the_lattes_map_reach_infinity_exactly():
+    # six simple critical points; their values -1, 0 and 1 are poles, which
+    # map to infinity exactly, and infinity is fixed
+    orbits, degrees = critical_orbits(lattes_doubling_map(), 60)
+    assert orbits.shape == (4, 6)
+    assert degrees.tolist() == [2] * 6
+    np.testing.assert_allclose(np.sort(orbits[1].real), [-1, -1, 0, 0, 1, 1], atol=1e-12)
+    assert np.all(orbits[2:] == complex(math.inf, 0.0))
 
 
 def test_period_seeds_start_away_from_the_postcritical_set():

@@ -220,10 +220,14 @@ def test_nonvanishing_witness_squaring():
 
 
 def test_nonvanishing_guards_postcritical_base():
-    f = parse_map("z^2-2")
-    s = poincare_coeffs(f, 2.0, 32)
-    with pytest.raises(BasePointPostcritical):
-        nonvanishing_witness(s, f)
+    # 2 is the image of the critical value -2 of z^2 - 2; the Lattes map's
+    # critical values are poles, so its critical orbits reach infinity
+    # through a pole
+    for f, p, order in ((parse_map("z^2-2"), 2.0, 32), (lattes_doubling_map(), INF, 16)):
+        s = poincare_coeffs(f, p, order)
+        with pytest.raises(BasePointPostcritical):
+            nonvanishing_witness(s, f)
+    assert s.multiplier == pytest.approx(4.0)  # the Lattes map at infinity
 
 
 def test_nonvanishing_witness_chebyshev_like():
