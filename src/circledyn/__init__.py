@@ -7,10 +7,8 @@ from .algebra import (
     RationalMap,
     SpherePoint,
     chordal_distance,
-    compose,
     conjugate,
     critical_points,
-    derivative,
     even_part_lift,
 )
 from .parser import format_map, map_from_coeff_json, parse_map
@@ -25,10 +23,8 @@ __all__ = [
     "SpherePoint",
     "all_roots",
     "chordal_distance",
-    "compose",
     "conjugate",
     "critical_points",
-    "derivative",
     "even_part_lift",
     "format_map",
     "map_from_coeff_json",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CircledynError, DegreeCapExceeded, NotOdd, RootFindingFailed
+from .errors import CircledynError, NotOdd, RootFindingFailed
 
 # Relative magnitude below which a trailing coefficient is treated as a
 # genuine degree drop rather than rounding noise.
@@ -412,7 +412,8 @@ class Moebius:
 class RationalMap:
     """Reduced ratio of two polynomials acting on the Riemann sphere.
 
-    Immutable after construction; `memo` holds what `memoized` derives."""
+    Immutable after construction; `memo` holds what `memoized` derives,
+    and the root of the backward tree (`dynamics._tree_root`)."""
 
     __slots__ = ("num", "den", "memo")
 
@@ -549,24 +550,6 @@ def _reduce_pair(num: Poly, den: Poly):
 
 # ---------------------------------------------------------------------------
 # map-level operations
-
-
-def derivative(f: RationalMap) -> RationalMap:
-    """Quotient-rule derivative, reduced to coprime form."""
-    n, d = f.num, f.den
-    w = n.deriv() * d - n * d.deriv()
-    if w.is_zero:
-        return RationalMap([0.0], [1.0], reduce=False)
-    return RationalMap(w, d * d)
-
-
-def compose(f: RationalMap, g: RationalMap, cap: int = DEGREE_CAP) -> RationalMap:
-    """f(g(z)) as a reduced rational map; guards the degree cap."""
-    if f.degree * max(g.degree, 1) > cap:
-        raise DegreeCapExceeded(
-            f"composition degree {f.degree * g.degree} exceeds cap {cap}"
-        )
-    return RationalMap(*_substitute(f, g.num.coeffs, g.den.coeffs))
 
 
 def conjugate(f: RationalMap, m: Moebius) -> RationalMap:

@@ -16,7 +16,7 @@ points or preimages of solved fixed points, read in those coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .algebra import (
 from .dynamics import (
     _multiplicity,
     _near_pairs,
+    _point_json,
     critical_orbits,
     julia_points,
     periodic_points,
@@ -183,6 +184,17 @@ def lattes_doubling_map(g2: float = 4.0, g3: float = 0.0) -> RationalMap:
 # classification report
 
 
+# the JSON form of the report fields that are not JSON values themselves
+_JSON_SHAPES = {
+    "real_multiplier": lambda rmt: {k: v for k, v in rmt.items() if k != "table"},
+    "circle": lambda c: {"A": c.A, "B": [c.B.real, c.B.imag], "C": c.C},
+    "normalizer": lambda m: [[v.real, v.imag] for v in (m.a, m.b, m.c, m.d)],
+    "interval_I": lambda ab: [ab[0], "inf" if math.isinf(ab[1]) else ab[1]],
+    "x0": _point_json,
+    "orbifold_signature": list,
+}
+
+
 @dataclass
 class ClassificationReport:
     verdict: str
@@ -213,48 +225,15 @@ class ClassificationReport:
         return 0
 
     def to_json_dict(self) -> dict:
-        out = {"verdict": self.verdict, "degree": self.degree}
-        if self.real_multiplier is not None:
-            rm = dict(self.real_multiplier)
-            rm.pop("table", None)
-            out["real_multiplier"] = rm
-        if self.circle is not None:
-            out["circle"] = {
-                "A": self.circle.A,
-                "B": [self.circle.B.real, self.circle.B.imag],
-                "C": self.circle.C,
-            }
-        if self.circle_residual is not None:
-            out["circle_residual"] = self.circle_residual
-        if self.normalizer is not None:
-            m = self.normalizer
-            out["normalizer"] = [
-                [m.a.real, m.a.imag],
-                [m.b.real, m.b.imag],
-                [m.c.real, m.c.imag],
-                [m.d.real, m.d.imag],
-            ]
-        if self.swap_components is not None:
-            out["swap_components"] = self.swap_components
-        if self.julia_is_circle is not None:
-            out["julia_is_circle"] = self.julia_is_circle
-        if self.interval_I is not None:
-            a, b = self.interval_I
-            out["interval_I"] = [a, "inf" if math.isinf(b) else b]
-        if self.x0 is not None:
-            out["x0"] = "inf" if self.x0.infinite else [self.x0.re, self.x0.im]
-        if self.lambda_x0 is not None:
-            out["lambda_x0"] = self.lambda_x0
-        if self.escape_times is not None:
-            out["escape_times"] = self.escape_times
-        if self.exceptional is not None:
-            out["exceptional"] = self.exceptional
-        if self.orbifold_signature is not None:
-            out["orbifold_signature"] = list(self.orbifold_signature)
-        if self.inconclusive_reason is not None:
-            out["inconclusive_reason"] = self.inconclusive_reason
-        if self.residuals:
-            out["residuals"] = self.residuals
+        """The set fields in declaration order, `residuals` once non-empty,
+        shaped for JSON by _JSON_SHAPES; `normalized_map` stays out."""
+        out = {}
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if value is None or fld.name == "normalized_map" or fld.name == "residuals" and not value:
+                continue
+            shape = _JSON_SHAPES.get(fld.name)
+            out[fld.name] = value if shape is None else shape(value)
         return out
 
 
@@ -279,51 +258,33 @@ def dichotomy_verdict(
 ) -> ClassificationReport:
     """Full dichotomy run: real-multiplier predicate, then circle fit, then
     the circle-case analysis or exceptional recognition."""
+    report = ClassificationReport(verdict="INCONCLUSIVE", degree=f.degree)
     try:
-        rmt = real_multiplier_test(f, n_max, tol)
+        report.real_multiplier = real_multiplier_test(f, n_max, tol)
     except (RootFindingFailed, DegreeCapExceeded) as exc:
-        return ClassificationReport(
-            verdict="INCONCLUSIVE",
-            degree=f.degree,
-            inconclusive_reason=f"real-multiplier test: {exc}",
-        )
-    if not rmt["passed"]:
-        return ClassificationReport(
-            verdict="NO_REAL_STRUCTURE", degree=f.degree, real_multiplier=rmt
-        )
-    cloud = julia_points(f, cloud_size, seed)
-    anchors = _repelling_anchor_points(f)
-    try:
-        circle, residual = best_circle(cloud, anchors=anchors)
-    except (DegenerateCloud, DegeneratePoints):
-        circle, residual = None, math.inf
-    if circle is not None and residual <= CIRCLE_ACCEPT_RESIDUAL:
-        try:
-            report = circle_case_classify(f, circle, cloud=cloud, rmt=rmt, seed=seed)
-        except (DegenerateCloud, DegeneratePoints, PreimageSolveFailed, RootFindingFailed) as exc:
-            return ClassificationReport(
-                verdict="INCONCLUSIVE",
-                degree=f.degree,
-                real_multiplier=rmt,
-                circle_residual=residual,
-                inconclusive_reason=f"circle case: {exc}",
-            )
-        report.circle_residual = residual
+        report.inconclusive_reason = f"real-multiplier test: {exc}"
         return report
+    if not report.real_multiplier["passed"]:
+        report.verdict = "NO_REAL_STRUCTURE"
+        return report
+    cloud = julia_points(f, cloud_size, seed)
+    try:
+        circle, report.circle_residual = best_circle(cloud, anchors=_repelling_anchor_points(f))
+    except (DegenerateCloud, DegeneratePoints):
+        circle, report.circle_residual = None, math.inf
+    if report.circle_residual <= CIRCLE_ACCEPT_RESIDUAL:
+        try:
+            return circle_case_classify(f, circle, cloud, report.real_multiplier)
+        except (DegenerateCloud, DegeneratePoints, PreimageSolveFailed, RootFindingFailed) as exc:
+            report.inconclusive_reason = f"circle case: {exc}"
+            return report
     analysis = postcritical_analysis(f)
-    exc = detect_exceptional(f, analysis)
-    report = ClassificationReport(
-        verdict="INCONCLUSIVE",
-        degree=f.degree,
-        real_multiplier=rmt,
-        circle_residual=residual,
-        exceptional=exc,
-    )
-    if exc == "LATTES":
+    report.exceptional = detect_exceptional(f, analysis)
+    if report.exceptional == "LATTES":
         report.verdict = "LATTES"
         report.orbifold_signature = analysis.orbifold_signature
-    elif exc in ("POWER", "CHEBYSHEV"):
-        report.verdict = f"{exc}_CONJUGATE"
+    elif report.exceptional in ("POWER", "CHEBYSHEV"):
+        report.verdict = f"{report.exceptional}_CONJUGATE"
     else:
         report.inconclusive_reason = (
             "real multipliers hold but neither a containing circle nor a "
@@ -342,34 +303,23 @@ def _repelling_anchor_points(f: RationalMap):
     return pts
 
 
-def circle_case_classify(
-    f: RationalMap,
-    circle: GeneralizedCircle,
-    cloud=None,
-    rmt=None,
-    seed: int = 2024,
-    cloud_size: int = 3000,
-) -> ClassificationReport:
-    """Circle-case analysis for a map whose Julia set lies on the circle.
-    Case I (no critical point on the circle, or the circle completely
-    invariant) is decided exactly on the map g normalized to the real line
-    through the repelling period-1 and period-2 points; the interval I of
-    cases II and III runs between solved periodic points or their preimages."""
-    if cloud is None:
-        cloud = julia_points(f, cloud_size, seed)
-    residual = containment_residual(circle, cloud)
+def circle_case_classify(f: RationalMap, circle: GeneralizedCircle, cloud, rmt=None) -> ClassificationReport:
+    """Circle-case analysis for a map whose Julia set, sampled by `cloud`,
+    lies on the circle.  Case I (no critical point on the circle, or the
+    circle completely invariant) is decided exactly on the map g normalized
+    to the real line through the repelling period-1 and period-2 points; the
+    interval I of cases II and III runs between solved periodic points or
+    their preimages."""
     anchors = _repelling_anchor_points(f)
     inv = invariance_check(f, circle, anchors)
-
     report = ClassificationReport(
         verdict="INCONCLUSIVE",
         degree=f.degree,
         real_multiplier=rmt,
         circle=circle.normalized(),
-        circle_residual=residual,
+        circle_residual=containment_residual(circle, cloud),
+        residuals={"forward_invariance": inv["forward_residual"], "complete_invariance": inv["preimage_residual"]},
     )
-    report.residuals["forward_invariance"] = inv["forward_residual"]
-    report.residuals["complete_invariance"] = inv["preimage_residual"]
 
     m1 = normalize_to_real_line(circle, anchors)
     g = _realified(conjugate(f, m1))
@@ -388,7 +338,6 @@ def circle_case_classify(
     # locate x0: a real fixed point with multiplier in [-1, 1]
     x0 = _select_x0(f, m1, g)
     if x0 is None:
-        report.verdict = "INCONCLUSIVE"
         report.inconclusive_reason = "no real fixed point with multiplier in [-1, 1]"
         return report
     x0_orbit, lam, x0_g = x0

@@ -335,14 +335,12 @@ def _newton_correction(f, z: np.ndarray, n: int) -> np.ndarray:
         return np.where(F == 0, 0.0, np.where(np.isfinite(ratio), 1.0 / ratio, np.nan))
 
 
-def _reciprocal_sums(z, known, weights=1.0, buf=None, skip=None):
+def _reciprocal_sums(z, known, weights=1.0, *, buf, skip=None):
     """Sum_j weights_j / (z_i - known_j) for each z_i, in row blocks of about
     RECIPROCAL_BLOCK entries so memory stays O(len(z) + len(known)).  With
     `skip`, an index array as long as z, row i leaves out column skip[i] (the
-    Aberth sum, where z are the points known[skip]).  A caller that sums
-    repeatedly passes `buf` from `_block_buffer`."""
-    if buf is None:
-        buf = _block_buffer(len(z), len(known))
+    Aberth sum, where z are the points known[skip]).  `buf`, from
+    `_block_buffer`, holds one block and is reused from call to call."""
     out = np.empty(len(z), dtype=complex)
     rows = len(buf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -621,7 +619,11 @@ def _period_seeds(f: RationalMap, n: int, m: int) -> np.ndarray:
 def _tree_root(f: RationalMap):
     """The repelling point of period 1, else of period 2, chordally farthest
     from the first three images of the critical points, near which tree
-    points would coincide; None when there is none."""
+    points would coincide; None when there is none.  The root is kept in
+    f.memo once found; a None is not, since the period-2 solve asks for the
+    root before the period-2 points it may be read from exist."""
+    if "tree-root" in f.memo:
+        return f.memo["tree-root"]
     cands = []
     for n in (1, 2):
         try:
@@ -631,11 +633,10 @@ def _tree_root(f: RationalMap):
     if not cands:
         return None
     pts = sphere_array(sorted(cands, key=SpherePoint.sort_key))
-    post = [sphere_array(critical_points(f))]
-    for _ in range(3):
-        post.append(image_array(f, post[-1]))
-    far = np.min(chordal_distances(pts[:, None], np.concatenate(post[1:])[None, :]), axis=1)
-    return pts[np.argmax(far)]
+    post = critical_orbits(f, 3)[0][1:].reshape(-1)
+    far = np.min(chordal_distances(pts[:, None], post[None, :]), axis=1)
+    f.memo["tree-root"] = pts[np.argmax(far)]
+    return f.memo["tree-root"]
 
 
 def periodic_points(f: RationalMap, n: int):

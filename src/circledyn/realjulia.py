@@ -15,6 +15,7 @@ is real only if its critical points are simple: a double critical point
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -67,14 +68,8 @@ class CriticalValueSpec:
         if not check_sign_condition(self.values):
             raise SpecViolation(f"sign condition fails for {self.values}")
         # repeated values only as adjacent equal pairs (double critical point)
-        k = 0
-        while k < len(self.values):
-            run = 1
-            while k + run < len(self.values) and self.values[k + run] == self.values[k]:
-                run += 1
-            if run > 2:
-                raise SpecViolation("critical value repeated more than twice")
-            k += run
+        if any(run > 2 for _, run in self.grouped()):
+            raise SpecViolation("critical value repeated more than twice")
 
     @property
     def degree(self) -> int:
@@ -100,15 +95,7 @@ class CriticalValueSpec:
 
     def grouped(self):
         """Distinct critical points as (value, multiplicity) runs."""
-        out = []
-        k = 0
-        while k < len(self.values):
-            run = 1
-            while k + run < len(self.values) and self.values[k + run] == self.values[k]:
-                run += 1
-            out.append((self.values[k], run))
-            k += run
-        return out
+        return [(v, len(list(run))) for v, run in itertools.groupby(self.values)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +391,10 @@ def _build_ex3(p: float, a: float, eps: float) -> ExampleInstance:
 
 
 def verify_example_claims(inst: ExampleInstance) -> dict:
-    if inst.family == "EX1":
-        return _verify_ex1(inst)
-    if inst.family == "EX2":
-        return _verify_ex2(inst)
-    if inst.family == "EX3":
-        return _verify_ex3(inst)
-    raise ParamOutOfRange(f"unknown family {inst.family}")
+    verify = {"EX1": _verify_ex1, "EX2": _verify_ex2, "EX3": _verify_ex3}.get(inst.family)
+    if verify is None:
+        raise ParamOutOfRange(f"unknown family {inst.family}")
+    return verify(inst)
 
 
 def ex1_completely_invariant_real_line(f: RationalMap) -> bool:

@@ -11,10 +11,8 @@ from circledyn import (
     Moebius,
     Poly,
     SpherePoint,
-    compose,
     conjugate,
     critical_points,
-    derivative,
     even_part_lift,
     format_map,
     parse_map,
@@ -52,55 +50,6 @@ def test_eval_infinity_fixed_for_ex1():
 def test_eval_pole_goes_to_infinity():
     f = parse_map("(z^2-4)/(1+0.25*z)")
     assert f(-4.0).infinite
-
-
-def test_derivative_monomial():
-    f = parse_map("z^2")
-    g = derivative(f)
-    for z in (0.3, 1.7 - 0.2j, -2.0):
-        assert g(z).value == pytest.approx(2 * z)
-
-
-def test_derivative_ex1_closed_form():
-    c = 0.25
-    f = parse_map("(z^2-4)/(1+0.25*z)")
-    g = derivative(f)
-    for z in (0.0, 1.5, -2.0 + 1.0j):
-        expected = (c * z * z + 2 * z + 4 * c) / (1 + c * z) ** 2
-        assert g(z).value == pytest.approx(expected, rel=1e-12)
-
-
-def test_derivative_of_constant_is_zero():
-    f = parse_map("3.5")
-    g = derivative(f)
-    assert g.num.is_zero
-
-
-def test_compose_monomials():
-    f = parse_map("z^2")
-    h = compose(f, f)
-    assert h.degree == 4
-    assert h(1.3).value == pytest.approx(1.3**4)
-
-
-def test_compose_chebyshev_t4():
-    t2 = parse_map("2*z^2-1")
-    t4 = compose(t2, t2)
-    expect = np.array([1.0, 0.0, -8.0, 0.0, 8.0])
-    np.testing.assert_allclose(t4.num.coeffs.real, expect, atol=1e-12)
-    assert t4.den.degree == 0
-
-
-def test_compose_degree_cap():
-    f = parse_map("z^3+z")
-    with pytest.raises(DegreeCapExceeded):
-        compose(f, f, cap=8)
-
-
-def test_compose_degree_law():
-    f = parse_map("(z^2-4)/(1+0.25*z)")
-    g = parse_map("(z^3-z+1)/(z-3)")
-    assert compose(f, g).degree == f.degree * g.degree
 
 
 def test_conjugate_identity():
@@ -174,6 +123,22 @@ def test_parse_examples():
     x = 0.3
     want = (x - 2) * (x + 0.9) * (x - 0.9) / ((x - 1) * (x + 1))
     assert g(x).value == pytest.approx(want, rel=1e-12)
+
+
+def test_parse_deflates_common_factors():
+    f = parse_map("(z^2-1)/(z-1)")
+    assert f.degree == 1
+    np.testing.assert_allclose(f.num.coeffs, [1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(f.den.coeffs, [1.0], atol=1e-12)
+    g = parse_map("z*(z-2)/(z*(z+3))")
+    np.testing.assert_allclose(g.num.coeffs, [-2.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(g.den.coeffs, [3.0, 1.0], atol=1e-12)
+
+
+def test_parse_degree_cap():
+    assert parse_map("(z^64)^64").degree == 4096
+    with pytest.raises(DegreeCapExceeded):
+        parse_map("(z^64)^65")
 
 
 def test_parse_error_offset():

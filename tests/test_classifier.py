@@ -248,22 +248,30 @@ def test_cloud_as_spherepoints_and_as_array_gives_the_same_results(key):
     assert repr(from_points) == repr(from_array)
 
 
-def test_report_json_fields_present_exactly_when_applicable():
-    rep = dichotomy_verdict(parse_map("z^2"), n_max=2)
-    d = rep.to_json_dict()
-    assert "julia_is_circle" in d and "interval_I" not in d
-    rep2 = dichotomy_verdict(parse_map("z^2-2"), n_max=2)
-    d2 = rep2.to_json_dict()
-    assert "interval_I" in d2 and "julia_is_circle" not in d2
-    assert d2["x0"] == "inf"
-    rep3 = dichotomy_verdict(parse_map("z^2+1"), n_max=1)
-    d3 = rep3.to_json_dict()
-    assert "circle" not in d3 and "interval_I" not in d3
+def test_report_json_fields_present_exactly_when_applicable(monkeypatch):
+    head = ["verdict", "degree", "real_multiplier"]
+    d = dichotomy_verdict(parse_map("z^2"), n_max=3).to_json_dict()
+    assert list(d) == head + [
+        "circle", "circle_residual", "normalizer", "swap_components", "julia_is_circle", "residuals",
+    ]
+    d = dichotomy_verdict(parse_map("z^2-2"), n_max=3).to_json_dict()
+    assert list(d) == head + [
+        "circle", "circle_residual", "normalizer", "interval_I", "x0", "lambda_x0", "escape_times", "residuals",
+    ]
+    assert d["x0"] == "inf"
+    assert list(dichotomy_verdict(parse_map("z^2+1"), n_max=3).to_json_dict()) == head
+    d = dichotomy_verdict(lattes_doubling_map(), n_max=3).to_json_dict()
+    assert list(d) == head + ["circle_residual", "exceptional", "orbifold_signature"]
+    assert d["exceptional"] == "LATTES" and d["orbifold_signature"] == [2, 2, 2, 2]
+    monkeypatch.setattr(dynamics, "PERIOD_DEGREE_CAP", 9)
+    d = dichotomy_verdict(parse_map("z^2-2"), n_max=4).to_json_dict()
+    assert list(d) == ["verdict", "degree", "inconclusive_reason"]
+
 
 def test_circle_case_classify_direct_surface():
     # the case analysis can be driven with an explicitly supplied circle
     f = parse_map("z^2-2")
-    rep = circle_case_classify(f, REAL_LINE)
+    rep = circle_case_classify(f, REAL_LINE, julia_points(f, 3000, 2024))
     assert rep.verdict == "CIRCLE_CASE_II"
     a, b = rep.interval_I
     assert a == pytest.approx(-2.0, abs=1e-8)

@@ -186,6 +186,16 @@ def test_period_seeds_start_away_from_the_postcritical_set():
     assert dynamics._tree_root(parse_map("z^3-3*z")) == 0.0
 
 
+def test_tree_root_is_kept_once_found_and_a_none_is_not():
+    # z^2 + 1/4 has no repelling fixed point: while its period-2 points are
+    # being solved there is no root yet, and after that solve a period-2 one
+    f = parse_map("z^2+0.25")
+    assert len(julia_points(f, 500, 2024)) == 500
+    root = f.memo["tree-root"]
+    assert abs(root**2 + 0.25 - root) > 0.1
+    assert dynamics._tree_root(f) is root
+
+
 def test_period_seed_surplus_is_trimmed_at_parabolic_infinity():
     # EX2's fixed point infinity is parabolic: of the 27 tree points, two go
     # for the repelling fixed points and one, the farthest out, for infinity
@@ -600,6 +610,12 @@ def _dense_weighted_sums(z, k, w):
         return np.sum(w[None, :] / (z[:, None] - k[None, :]), axis=1)
 
 
+def _sums(z, known, weights=1.0, skip=None):
+    """`_reciprocal_sums` through a fresh block buffer."""
+    buf = dynamics._block_buffer(len(z), len(known))
+    return dynamics._reciprocal_sums(z, known, weights, buf=buf, skip=skip)
+
+
 def _bits(a):
     return np.asarray(a, dtype=complex).view(np.uint64)
 
@@ -615,14 +631,14 @@ def test_reciprocal_sums_equal_the_dense_sums_bit_for_bit(monkeypatch, extra):
     w = rng.integers(1, 4, size=8).astype(float)
     z = rng.normal(size=rows) + 1j * rng.normal(size=rows)
     z[rows // 2] = k[3]  # an exact collision: that row is not finite
-    got = dynamics._reciprocal_sums(z, k, w)
+    got = _sums(z, k, w)
     assert np.array_equal(_bits(got), _bits(_dense_weighted_sums(z, k, w)))
     assert not np.isfinite(got[rows // 2])
 
     # the Aberth sum over the points themselves, 16 / rows per block
     monkeypatch.setattr(dynamics, "RECIPROCAL_BLOCK", 16 * rows)
     z[1] = z[rows - 1]  # two equal points
-    got = dynamics._reciprocal_sums(z, z, skip=np.arange(rows))
+    got = _sums(z, z, skip=np.arange(rows))
     assert np.array_equal(_bits(got), _bits(_dense_aberth_sums(z)))
     assert not np.isfinite(got[1]) and not np.isfinite(got[rows - 1])
 
@@ -632,10 +648,10 @@ def test_reciprocal_sums_of_one_row_match_the_closure_sum():
     k = rng.normal(size=200) + 1j * rng.normal(size=200)
     w = np.ones(200)
     wz = np.array([0.3 + 0.1j])
-    got = dynamics._reciprocal_sums(wz, k, w)
+    got = _sums(wz, k, w)
     assert got.shape == (1,)
     assert np.array_equal(_bits(got), _bits([np.sum(w / (wz[0] - k))]))
-    assert np.array_equal(_bits(dynamics._reciprocal_sums(wz, k[:0], w[:0])), _bits([0]))
+    assert np.array_equal(_bits(_sums(wz, k[:0], w[:0])), _bits([0]))
 
 
 def test_aberth_memory_does_not_grow_with_the_square_of_the_degree(monkeypatch):
@@ -661,7 +677,7 @@ def test_reciprocal_sums_over_active_rows_equal_the_dense_sums_bit_for_bit(monke
     z = rng.normal(size=20) + 1j * rng.normal(size=20)
     active = np.array([0, 3, 4, 9, 17, 19])
     z[9] = z[2]  # an active point equal to a frozen one: that row is not finite
-    got = dynamics._reciprocal_sums(z[active], z, skip=active)
+    got = _sums(z[active], z, skip=active)
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = z[active][:, None] - z[None, :]
         diff[np.arange(len(active)), active] = np.inf
@@ -678,8 +694,8 @@ def _full_aberth(f, n, z0, known, weights):
     every = np.arange(len(z))
     for _ in range(dynamics.ABERTH_MAXITER):
         invr = dynamics._newton_correction(f, z, n)
-        s = dynamics._reciprocal_sums(z, z, skip=every)
-        s += dynamics._reciprocal_sums(z, known, weights)
+        s = _sums(z, z, skip=every)
+        s += _sums(z, known, weights)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             denom = 1.0 - invr * s
             step = np.where(np.abs(denom) > 1e-300, invr / denom, invr)

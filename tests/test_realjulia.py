@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,8 +39,9 @@ def test_spec_rejects_bad_values():
         CriticalValueSpec((0.5,))
     with pytest.raises(SpecViolation):
         CriticalValueSpec((-0.5, -1.5))
-    with pytest.raises(SpecViolation):
+    with pytest.raises(SpecViolation, match="more than twice"):
         CriticalValueSpec((0.0, 0.0, 0.0, 0.0))  # triple repetition
+    assert CriticalValueSpec((0.0, 0.0, -1.0)).grouped() == [(0.0, 2), (-1.0, 1)]
 
 
 @pytest.mark.parametrize("values", [(math.inf,), (math.nan,), (-math.inf, 2.0), (-1.0, math.inf)])
@@ -203,6 +205,12 @@ def test_build_ex2():
     assert claims["interior_minimum_below_-1"]["passed"]
     with pytest.raises(ParamOutOfRange):
         build_example("EX2", c=1.2)
+
+
+def test_verify_unknown_family_is_out_of_range():
+    inst = replace(build_example("EX1", c=0.25), family="EX4")
+    with pytest.raises(ParamOutOfRange, match="unknown family EX4"):
+        verify_example_claims(inst)
 
 
 def test_build_ex3_constants():
