@@ -298,6 +298,21 @@ def polyval(coeffs, z):
     return acc
 
 
+def horner_rows(rows, z) -> np.ndarray:
+    """The ascending coefficient rows (a 2-D array) at the points z, in one
+    Horner loop accumulated in place: shape (len(rows), len(z)).  Each row
+    rounds as `polyval` does on an array; the zeros that pad a shorter row
+    leave its accumulator at 0, as polyval's own start."""
+    # not np.zeros: a large zeroed block comes fresh from the OS, and its
+    # page faults cost more than the fill
+    acc = np.empty((len(rows), len(z)), dtype=complex)
+    acc.fill(0.0)
+    for k in range(rows.shape[1] - 1, -1, -1):
+        np.multiply(acc, z, out=acc)
+        np.add(acc, rows[:, k, None], out=acc)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # coefficient kernels
 
@@ -444,10 +459,11 @@ class RationalMap:
         return _eval_finite(self.num, self.den, z.value)
 
     def reciprocal_chart(self) -> "RationalMap":
-        """Conjugate by z -> 1/z (so infinity becomes the origin)."""
+        """Conjugate by z -> 1/z (so infinity becomes the origin); coprime
+        as the map is, so coprimality is not solved again (`conjugate`)."""
         return memoized(
             self, "reciprocal_chart",
-            lambda: RationalMap(*chart_coeffs(self, True, True), reduce=True),
+            lambda: RationalMap(*chart_coeffs(self, True, True), reduce=False),
         )
 
     def __repr__(self):
@@ -494,9 +510,9 @@ def image_array(f: RationalMap, z) -> np.ndarray:
     out = np.empty(len(u), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for flag in (False, True):
-            num, den = chart_coeffs(f, flag, False)
             sel = inverted == flag
-            out[sel] = polyval(num, u[sel]) / polyval(den, u[sel])
+            num, den = horner_rows(np.array(chart_coeffs(f, flag, False)), u[sel])
+            out[sel] = num / den
     out[~np.isfinite(out)] = math.inf
     return out
 
@@ -553,7 +569,10 @@ def _reduce_pair(num: Poly, den: Poly):
 
 
 def conjugate(f: RationalMap, m: Moebius) -> RationalMap:
-    """m . f . m^{-1}; same degree, coprime."""
+    """m . f . m^{-1}; same degree, coprime.  Coprimality is not solved
+    again: the numerator and denominator of m . f . m^{-1} vanish on the
+    preimages under f . m^{-1} of the distinct points m^{-1}(0) and
+    m^{-1}(infinity), which share none."""
     mi = m.inverse()
     # f(m^{-1}(w)) with z = (a w + b)/(c w + d) substituted
     mid_n, mid_d = _substitute(
@@ -563,7 +582,7 @@ def conjugate(f: RationalMap, m: Moebius) -> RationalMap:
     )
     out_n = m.a * mid_n + m.b * mid_d
     out_d = m.c * mid_n + m.d * mid_d
-    return RationalMap(out_n, out_d)
+    return RationalMap(out_n, out_d, reduce=False)
 
 
 def _substitute(f: RationalMap, p, q):

@@ -42,6 +42,7 @@ from .dynamics import (
     repelling_points,
 )
 from .errors import (
+    CircledynError,
     DegenerateCloud,
     DegeneratePoints,
     DegreeCapExceeded,
@@ -262,12 +263,19 @@ def dichotomy_verdict(
     try:
         report.real_multiplier = real_multiplier_test(f, n_max, tol)
     except (RootFindingFailed, DegreeCapExceeded) as exc:
-        report.inconclusive_reason = f"real-multiplier test: {exc}"
-        return report
+        # one non-real repelling multiplier of a lower period already decides
+        report.real_multiplier = exc.partial
+        if exc.partial["passed"]:
+            report.inconclusive_reason = f"real-multiplier test: {exc}"
+            return report
     if not report.real_multiplier["passed"]:
         report.verdict = "NO_REAL_STRUCTURE"
         return report
-    cloud = julia_points(f, cloud_size, seed)
+    try:
+        cloud = julia_points(f, cloud_size, seed)
+    except PreimageSolveFailed as exc:
+        report.inconclusive_reason = f"julia cloud: {exc}"
+        return report
     try:
         circle, report.circle_residual = best_circle(cloud, anchors=_repelling_anchor_points(f))
     except (DegenerateCloud, DegeneratePoints):
@@ -278,8 +286,12 @@ def dichotomy_verdict(
         except (DegenerateCloud, DegeneratePoints, PreimageSolveFailed, RootFindingFailed) as exc:
             report.inconclusive_reason = f"circle case: {exc}"
             return report
-    analysis = postcritical_analysis(f)
-    report.exceptional = detect_exceptional(f, analysis)
+    try:
+        analysis = postcritical_analysis(f)
+        report.exceptional = detect_exceptional(f, analysis)
+    except CircledynError as exc:
+        report.inconclusive_reason = f"exceptional: {exc}"
+        return report
     if report.exceptional == "LATTES":
         report.verdict = "LATTES"
         report.orbifold_signature = analysis.orbifold_signature

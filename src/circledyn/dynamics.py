@@ -11,7 +11,8 @@ the measure of maximal entropy read the same backward tree.  A solve too
 large for one block of the Aberth sum runs plain Newton first and leaves
 the Aberth iteration only the points that collide or do not converge;
 duplicates and successors are looked up on a grid of the sphere
-(`_near_pairs`), so no step of a solve compares all pairs of points.
+(`_near_pairs`), so no step of a solve compares more than a quarter
+block of pairs of points at once.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from .algebra import (
     _substitute,
     cluster_roots,
     deriv_coeffs,
+    horner_rows,
     image_array,
     memoized,
     pad_coeffs,
-    polyval,
     series_quotient,
     sphere_array,
 )
@@ -78,21 +79,29 @@ class _ChartSlopes:
     its image, with the chart rule of `chart_split`, on arrays."""
 
     def __init__(self, f: RationalMap):
-        self.pairs = {}
-        for key in ((False, False), (False, True), (True, False), (True, True)):
-            pn, pd = chart_coeffs(f, *key)
-            self.pairs[key] = (pn, pd, deriv_coeffs(pn), deriv_coeffs(pd))
+        self.pairs = {
+            key: _value_and_slope_rows(*chart_coeffs(f, *key))
+            for key in ((False, False), (False, True), (True, False), (True, True))
+        }
 
     def __call__(self, z_inverted, w_inverted, u) -> np.ndarray:
         out = np.empty(len(u), dtype=complex)
-        for (zi, wi), (pn, pd, dpn, dpd) in self.pairs.items():
+        for (zi, wi), rows in self.pairs.items():
             sel = (z_inverted == zi) & (w_inverted == wi)
-            x = u[sel]
-            nv, dv = polyval(pn, x), polyval(pd, x)
+            if not sel.any():
+                continue
+            nv, dv, npv, dpv = horner_rows(rows, u[sel])
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                slope = (polyval(dpn, x) * dv - nv * polyval(dpd, x)) / (dv * dv)
+                slope = (npv * dv - nv * dpv) / (dv * dv)
             out[sel] = np.where(dv == 0, math.inf, slope)
         return out
+
+
+def _value_and_slope_rows(num, den) -> np.ndarray:
+    """Numerator, denominator and their derivatives as the padded rows of
+    one `horner_rows` pass."""
+    rows = (num, den, deriv_coeffs(num), deriv_coeffs(den))
+    return np.array([pad_coeffs(c, max(map(len, rows))) for c in rows])
 
 
 def cycle_multiplier(f: RationalMap, points) -> complex:
@@ -306,21 +315,27 @@ def _fixed_point_solutions(f: RationalMap) -> np.ndarray:
 def _orbit_data(f: RationalMap, z: np.ndarray, n: int):
     """Forward data for F(z) = f^n(z) - z: value, (f^n)', denominator log-deriv."""
     d = f.degree
-    nc, dc = f.num.coeffs, f.den.coeffs
-    dnc, ddc = deriv_coeffs(nc), deriv_coeffs(dc)
-    w = z.astype(complex).copy()
+    rows = memoized(f, "orbit-rows", lambda: _value_and_slope_rows(f.num.coeffs, f.den.coeffs))
+    w = z.astype(complex)
     lam = np.ones_like(w)
     dlog = np.zeros_like(w)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(n):
-            nv = polyval(nc, w)
-            dv = polyval(dc, w)
-            npv = polyval(dnc, w)
-            dpv = polyval(ddc, w)
-            fp = (npv * dv - nv * dpv) / (dv * dv)
-            dlog = dlog + float(d) ** (n - 1 - k) * (dpv / dv) * lam
-            lam = lam * fp
-            w = nv / dv
+            nv, dv, npv, dpv = horner_rows(rows, w)
+            # in place, each product and quotient rounded as in
+            #   f' = (npv dv - nv dpv) / (dv dv),  w = nv / dv,
+            #   dlog += d^(n-1-k) (dpv / dv) lam,  lam *= f'
+            np.divide(nv, dv, out=w)
+            np.multiply(npv, dv, out=npv)
+            np.multiply(nv, dpv, out=nv)
+            np.subtract(npv, nv, out=npv)
+            np.divide(dpv, dv, out=dpv)
+            np.multiply(dv, dv, out=dv)
+            np.divide(npv, dv, out=npv)
+            np.multiply(dpv, float(d) ** (n - 1 - k), out=dpv)
+            np.multiply(dpv, lam, out=dpv)
+            np.add(dlog, dpv, out=dlog)
+            np.multiply(lam, npv, out=lam)
         F = w - z
     return F, lam, dlog
 
@@ -529,7 +544,7 @@ def _close_orbits(f, n, new, pool, known_total):
     succ = _successors(f, new, pool)
     if np.any(succ >= len(new)) or len(np.unique(succ)) != len(new):
         raise RootFindingFailed(f"period-{n} solutions are not permuted by the map")
-    points = [SpherePoint.of(z) for z in new]
+    points = _sphere_points(new)
     inverted, u = chart_split(new)
     slopes = _chart_slopes(f)(inverted, inverted[succ], u)
     orbits = []
@@ -585,17 +600,18 @@ def _successors(f, new, pool) -> np.ndarray:
 
 def _period_seeds(f: RationalMap, n: int, m: int) -> np.ndarray:
     """m finite starting points for the period-n solve: the level-n backward
-    tree f^-n(p) of one repelling point p (`_tree_root`), equidistributed
-    like the period-n points, each point on its own contracting branch of
-    f^-n.  The point nearest each known repelling point is dropped, then the
-    surplus nearest the other known points and infinity.  A seeded jitter of
-    1e-3 of the local spacing 1/|(f^n)'| breaks the symmetry of a real map's
-    tree, whose real points Aberth keeps real.  Without p, a ring of radius 2."""
+    tree f^-n(p) of one repelling point p (`_tree_root`), kept per map
+    (`_seed_level`), equidistributed like the period-n points, each point on
+    its own contracting branch of f^-n.  The point nearest each known
+    repelling point is dropped, then the surplus nearest the other known
+    points and infinity.  A seeded jitter of 1e-3 of the local spacing
+    1/|(f^n)'| breaks the symmetry of a real map's tree, whose real points
+    Aberth keeps real.  Without p, a ring of radius 2."""
     root = _tree_root(f)
     if root is None:
         base = 2.0 * np.exp(2j * np.pi * np.arange(m) / m)
     else:
-        tree = np.concatenate([pts for k, pts, _ in _tree_batches(f, root, depth=n) if k == n])
+        tree = _seed_level(f, root, n)
         lower = [o for k in range(1, n) if n % k == 0 for o in _period_solutions(f, k)]
         free = np.isfinite(tree)
         drop = np.flatnonzero(~free).tolist()
@@ -614,6 +630,20 @@ def _period_seeds(f: RationalMap, n: int, m: int) -> np.ndarray:
         local = np.fmin(1.0, 1.0 / np.abs(_orbit_data(f, base, n)[1]))
     scale = 1e-3 * max(1.0, float(np.median(np.abs(base)))) * local
     return base + scale * np.exp(2j * np.pi * np.random.default_rng(4242).random(m))
+
+
+def _seed_level(f: RationalMap, root, n: int) -> np.ndarray:
+    """Level n of the backward tree of the root, whole, grown from level
+    n - 1 and kept in f.memo.  While d^n + 1 is within PERIOD_DEGREE_CAP,
+    level n - 1 has at most PERIOD_DEGREE_CAP // d points, so this is the
+    level `_tree_batches` yields as one batch, bit for bit.  The root must
+    be `_tree_root(f)`, which is fixed once found."""
+
+    def grow():
+        above = np.array([root], dtype=complex) if n == 1 else _seed_level(f, root, n - 1)
+        return _preimage_rows(f, above).reshape(-1)
+
+    return memoized(f, f"tree-level-{n}", grow)
 
 
 def _tree_root(f: RationalMap):
@@ -664,13 +694,30 @@ def projective_solution_count(f: RationalMap, n: int) -> int:
 
 def real_multiplier_test(f: RationalMap, n_max: int, tol: float = 1e-8) -> dict:
     """Check that every repelling orbit of exact period <= n_max has a real
-    multiplier; reports the worst offender and the full multiplier table."""
+    multiplier; reports the worst offender and the full multiplier table.
+
+    A period whose solve fails (RootFindingFailed, DegreeCapExceeded) ends
+    the test: its error is raised again, as an error of the same type and
+    message, with `partial`, the report of the periods solved before it,
+    in which `n_solved` is the last of them."""
     table = []
     worst = None
     worst_score = -1.0
     passed = True
+
+    def summary(**extra):
+        return dict(passed=passed, n_max=n_max, tol=tol, worst=worst, table=table, **extra)
+
     for n in range(1, n_max + 1):
-        for orbit in periodic_points(f, n):
+        try:
+            orbits = periodic_points(f, n)
+        except (RootFindingFailed, DegreeCapExceeded) as exc:
+            # a fresh error: the solve's own is kept in f.memo and raised
+            # again to every later caller
+            stopped = type(exc)(*exc.args)
+            stopped.partial = summary(n_solved=n - 1)
+            raise stopped from exc
+        for orbit in orbits:
             lam = orbit.multiplier
             entry = {
                 "period": n,
@@ -697,13 +744,7 @@ def real_multiplier_test(f: RationalMap, n_max: int, tol: float = 1e-8) -> dict:
                 }
             if imag_excess > 0:
                 passed = False
-    return {
-        "passed": passed,
-        "n_max": n_max,
-        "tol": tol,
-        "worst": worst,
-        "table": table,
-    }
+    return summary()
 
 
 def _point_json(p: SpherePoint):
@@ -919,7 +960,8 @@ def _preimage_rows(f, z):
 def _tree_batches(f: RationalMap, root, width=math.inf, seed: int = 0, depth=None):
     """The backward tree f^-1(root), f^-2(root), ... up to level `depth`, as
     (level, points, last) per batch of at most PERIOD_DEGREE_CAP // d rows
-    of the level above, so a period seed's level is one batch; `last` marks
+    of the level above, so a period seed's level is one batch, as
+    `_seed_level` grows it; `last` marks
     a level's final batch.  Of a level of more than `width` points, a seeded
     random subset of `width` is expanded.  A root of None (`_tree_root`
     found no repelling point) raises PreimageSolveFailed."""
@@ -1052,12 +1094,17 @@ def _sphere_cells(z, radius: float) -> np.ndarray:
 
 def _near_pairs(a, b, radius: float):
     """Every pair (i, j) with chordal_distances(a[i], b[j]) <= radius, as
-    arrays i, j and those distances, exact, ordered by i.  b is filed by
-    cell of a grid of R^3 (`_sphere_cells`), and each a[i] looks up the at
-    most 8 cells its ball meets; the points of those cells are compared
-    about a quarter of RECIPROCAL_BLOCK pairs at a time.  Time is
-    O((len(a) + len(b)) log len(b)) plus the pairs compared, and memory
+    arrays i, j and those distances, exact, ordered by i.  Up to a quarter
+    of RECIPROCAL_BLOCK pairs, all pairs are compared at once.  Above that,
+    b is filed by cell of a grid of R^3 (`_sphere_cells`), and each a[i]
+    looks up the at most 8 cells its ball meets; the points of those cells
+    are compared about a quarter of RECIPROCAL_BLOCK pairs at a time.  Time
+    is O((len(a) + len(b)) log len(b)) plus the pairs compared, and memory
     O(len(a) + len(b)) plus the pairs returned."""
+    if len(a) * len(b) <= RECIPROCAL_BLOCK // 4:
+        dist = chordal_distances(a[:, None], b[None, :])
+        i, j = np.nonzero(dist <= radius)
+        return i, j, dist[i, j]
     reach, pitch = _reach(radius)
     keys = _sphere_cells(b, radius)
     order = np.argsort(keys, kind="stable")

@@ -21,10 +21,14 @@ from circledyn.algebra import (
     chart_split,
     chordal_distance,
     chordal_distances,
+    deriv_coeffs,
     finite_poles,
+    horner_rows,
     image_array,
     invert_point,
     memoized,
+    pad_coeffs,
+    polyval,
     sphere_array,
 )
 from circledyn.classifier import lattes_doubling_map
@@ -362,3 +366,30 @@ def test_memo_remembers_failures_and_refuses_reentrant_requests():
     with pytest.raises(KeyboardInterrupt):
         memoized(f, "other", interrupted)
     assert memoized(f, "other", lambda: 7) == 7
+
+
+@pytest.mark.parametrize("m", [1, 7, 64, 4096])
+@pytest.mark.parametrize("name", ["z^2-2", "conjugate", "lattes"])
+def test_horner_rows_equal_polyval_row_by_row(name, m):
+    # numerator, denominator and their derivatives, padded to one width; a
+    # pole (where there is one) and infinity lead the points
+    base = parse_map("z^2-2")
+    f = {
+        "z^2-2": base,
+        "conjugate": conjugate(base, Moebius(0.3 - 0.7j, 0.3 - 0.2j, 0.03 - 0.5j, 0.5 + 0.6j)),
+        "lattes": lattes_doubling_map(),
+    }[name]
+    coeffs = [f.num.coeffs, f.den.coeffs, deriv_coeffs(f.num.coeffs), deriv_coeffs(f.den.coeffs)]
+    width = max(map(len, coeffs))
+    rng = np.random.default_rng(m)
+    z = (rng.normal(size=m) + 1j * rng.normal(size=m)) * np.exp(2.0 * rng.normal(size=m))
+    special = [*finite_poles(f)[:1], complex(math.inf, 0.0)]
+    z[: len(special)] = special[:m]
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = horner_rows(np.array([pad_coeffs(c, width) for c in coeffs]), z)
+        wants = [polyval(c, z) for c in coeffs]
+    assert got.shape == (4, m)
+    for row, want in zip(got, wants):
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(row), nan) and np.array_equal(np.isinf(row), np.isinf(want))
+        assert np.array_equal(row[~nan].view(np.uint64), want[~nan].view(np.uint64))

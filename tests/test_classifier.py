@@ -13,7 +13,7 @@ from circledyn.classifier import (
     dichotomy_verdict,
 )
 from circledyn.dynamics import julia_cloud, julia_points, preimage_points
-from circledyn.errors import DegeneratePoints, DegreeCapExceeded
+from circledyn.errors import DegeneratePoints, DegreeCapExceeded, PreimageSolveFailed, RootFindingFailed
 from circledyn.geometry import (
     REAL_LINE,
     UNIT_CIRCLE,
@@ -265,7 +265,9 @@ def test_report_json_fields_present_exactly_when_applicable(monkeypatch):
     assert d["exceptional"] == "LATTES" and d["orbifold_signature"] == [2, 2, 2, 2]
     monkeypatch.setattr(dynamics, "PERIOD_DEGREE_CAP", 9)
     d = dichotomy_verdict(parse_map("z^2-2"), n_max=4).to_json_dict()
-    assert list(d) == ["verdict", "degree", "inconclusive_reason"]
+    assert list(d) == head + ["inconclusive_reason"]
+    assert list(d["real_multiplier"]) == ["passed", "n_max", "tol", "worst", "n_solved"]
+    assert (d["real_multiplier"]["n_max"], d["real_multiplier"]["n_solved"]) == (4, 3)
 
 
 def test_circle_case_classify_direct_surface():
@@ -380,6 +382,17 @@ def _seeded_conjugators(count):
     ]
 
 
+@pytest.mark.parametrize("text", ["z^2-2", "z^3-3*z"])
+def test_conjugates_keep_their_degree(text):
+    # conjugate does not deflate common roots; a coprimality solve of each
+    # conjugate finds none either
+    f = parse_map(text)
+    for m in _seeded_conjugators(16):
+        g = conjugate(f, m)
+        assert g.degree == f.degree
+        assert RationalMap(g.num.coeffs, g.den.coeffs).degree == f.degree
+
+
 def test_real_line_degree_ex1_flips_at_one_half():
     cs = (0.25, 0.499, 0.5016, 0.6)
     degrees = [real_line_degree(parse_map(f"(z^2-4)/(1+{c}*z)")) for c in cs]
@@ -492,6 +505,30 @@ def test_period_degree_cap_ends_inconclusive(monkeypatch):
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.exit_code == 3
     assert rep.inconclusive_reason == "real-multiplier test: period 4 needs degree 17 > cap 9"
+
+
+def test_a_failed_cloud_is_inconclusive_and_names_its_stage(monkeypatch):
+    def failed(f, size, seed):
+        raise PreimageSolveFailed("no repelling low-period point to grow the tree from")
+
+    monkeypatch.setattr(classifier, "julia_points", failed)
+    rep = dichotomy_verdict(parse_map("z^2-2"), n_max=2)
+    assert (rep.verdict, rep.exit_code) == ("INCONCLUSIVE", 3)
+    assert rep.inconclusive_reason == "julia cloud: no repelling low-period point to grow the tree from"
+    assert rep.real_multiplier["passed"]
+
+
+@pytest.mark.parametrize("stage", ["postcritical_analysis", "detect_exceptional"])
+def test_a_failed_exceptional_stage_is_inconclusive_and_names_it(monkeypatch, stage):
+    # the Lattes map has no containing circle, so it reaches this stage
+    def failed(*args):
+        raise RootFindingFailed("critical point residual too large")
+
+    monkeypatch.setattr(classifier, stage, failed)
+    rep = dichotomy_verdict(lattes_doubling_map(), n_max=3)
+    assert (rep.verdict, rep.exit_code) == ("INCONCLUSIVE", 3)
+    assert rep.inconclusive_reason == "exceptional: critical point residual too large"
+    assert rep.circle_residual is not None
 
 
 def test_degree_cap_in_circle_case_is_not_inconclusive(monkeypatch):

@@ -253,6 +253,21 @@ def test_ex3_at_nmax_7_closes_its_orbits(capsys):
     assert code == 0
 
 
+def test_a_failing_lower_period_is_final(tmp_path, capsys):
+    # period 6 of a quintic needs degree 5^6 + 1 > PERIOD_DEGREE_CAP, but the
+    # repelling 3-cycle with multiplier 865.6 + 654.1i already refutes the
+    # real multipliers
+    table = tmp_path / "table.json"
+    code, out, _ = run_cli(["classify", "--map", "z^5-3*z", "--multipliers", str(table)], capsys)
+    data = json.loads(out)
+    assert (code, data["verdict"]) == (4, "NO_REAL_STRUCTURE")
+    assert "inconclusive_reason" not in data
+    block = data["real_multiplier"]
+    assert (block["passed"], block["n_max"], block["n_solved"]) == (False, 6, 5)
+    period_3 = [complex(e["multiplier_re"], e["multiplier_im"]) for e in json.loads(table.read_text()) if e["period"] == 3]
+    assert any(abs(lam - (865.6 + 654.1j)) < 0.1 for lam in period_3)
+
+
 def test_period_solve_shortfall_is_inconclusive(monkeypatch, capsys):
     # an Aberth iteration that never moves its start points
     monkeypatch.setattr(dynamics, "_aberth_functional", lambda f, n, z0, *known: z0)

@@ -34,7 +34,12 @@ from circledyn.dynamics import (
     projective_solution_count,
     real_multiplier_test,
 )
-from circledyn.errors import DerivativeSingular, PreimageSolveFailed, RootFindingFailed
+from circledyn.errors import (
+    DegreeCapExceeded,
+    DerivativeSingular,
+    PreimageSolveFailed,
+    RootFindingFailed,
+)
 from circledyn.realjulia import construct_polynomial, random_valid_spec
 
 
@@ -144,6 +149,16 @@ def _tree_level(f, depth):
     """Level `depth` of the backward tree of `_tree_root`, whole."""
     root = dynamics._tree_root(f)
     return np.concatenate([pts for k, pts, _ in dynamics._tree_batches(f, root, depth=depth) if k == depth])
+
+
+@pytest.mark.parametrize("expr, n_max", [("z^2-2", 9), ("z^3-3*z", 7), ("lattes", 5)])
+def test_seed_levels_are_the_tree_levels_bit_for_bit(expr, n_max):
+    f = lattes_doubling_map() if expr == "lattes" else parse_map(expr)
+    root = dynamics._tree_root(f)
+    for n in range(1, n_max + 1):
+        got, want = dynamics._seed_level(f, root, n), _tree_level(f, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+    assert f"tree-level-{n_max}" in f.memo
 
 
 @pytest.mark.parametrize(
@@ -541,6 +556,17 @@ def test_julia_cloud_reproducible():
     b = julia_cloud(f, 400, seed=77)
     assert [(p.re, p.im) for p in a] == [(p.re, p.im) for p in b]
 
+def test_a_stopped_multiplier_test_keeps_the_periods_it_solved(monkeypatch):
+    # period 4 of a quadratic needs degree 2^4 + 1 = 17
+    monkeypatch.setattr(dynamics, "PERIOD_DEGREE_CAP", 9)
+    with pytest.raises(DegreeCapExceeded, match="^period 4 needs degree 17 > cap 9$") as info:
+        real_multiplier_test(parse_map("z^2-2"), 5)
+    partial = info.value.partial
+    assert list(partial) == ["passed", "n_max", "tol", "worst", "table", "n_solved"]
+    assert (partial["passed"], partial["n_max"], partial["n_solved"]) == (True, 5, 3)
+    assert sorted({e["period"] for e in partial["table"]}) == [1, 2, 3]
+
+
 def test_periodic_points_degree_cap():
     from circledyn.errors import DegreeCapExceeded
 
@@ -936,6 +962,29 @@ def test_near_pairs_are_every_pair_within_the_radius(radius):
     assert set(zip(i.tolist(), j.tolist())) == {(int(p), int(q)) for p, q in want}
     assert len(i) == len(want)
     assert np.array_equal(d.view(np.uint64), dense[i, j].view(np.uint64))
+
+
+@pytest.mark.parametrize("radius", [1e-6, 0.3])
+def test_near_pairs_compare_all_pairs_and_the_grid_alike(monkeypatch, radius):
+    # 60 x 90 pairs are compared all at once; a block of 64 sends the same
+    # sets through the grid.  Infinity and points of modulus 1e154 to 1e300
+    # lie within 1e-6 of each other
+    rng = np.random.default_rng(8)
+    a = (rng.normal(size=60) + 1j * rng.normal(size=60)) * np.exp(3.0 * rng.normal(size=60))
+    a[:4] = [complex(math.inf, 0.0), 1e154 * np.exp(1j), -3e300j, 2e200]
+    b = np.concatenate([a[:40] + 1e-9 * rng.normal(size=40), rng.normal(size=50) + 1j * rng.normal(size=50)])
+    b[40:43] = [complex(math.inf, 0.0), 5e154, 1e300j]
+    assert len(a) * len(b) <= dynamics.RECIPROCAL_BLOCK // 4
+
+    def triples(i, j, d):
+        return sorted(zip(i.tolist(), j.tolist(), d.view(np.uint64).tolist()))
+
+    dense = dynamics._near_pairs(a, b, radius)
+    monkeypatch.setattr(dynamics, "RECIPROCAL_BLOCK", 64)
+    grid = dynamics._near_pairs(a, b, radius)
+    assert np.all(np.diff(dense[0]) >= 0)
+    assert {(0, 40), (1, 41), (2, 42), (3, 40)} <= set(zip(dense[0].tolist(), dense[1].tolist()))
+    assert triples(*dense) == triples(*grid)
 
 
 def test_neighbour_kernel_memory_is_linear_in_the_points():
