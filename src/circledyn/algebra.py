@@ -221,6 +221,8 @@ class Poly:
         if c.size == 0:
             c = np.zeros(1, dtype=complex)
         scale = np.max(np.abs(c))
+        if not math.isfinite(scale):
+            raise CircledynError("a polynomial coefficient is not finite")
         if scale == 0.0:
             c = np.zeros(1, dtype=complex)
         else:
@@ -246,8 +248,9 @@ class Poly:
         a, b = self.coeffs, as_poly(other).coeffs
         n = max(len(a), len(b))
         out = np.zeros(n, dtype=complex)
-        out[: len(a)] += a
-        out[: len(b)] += b
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[: len(a)] += a
+            out[: len(b)] += b
         return Poly(out)
 
     def __sub__(self, other):
@@ -529,12 +532,11 @@ def _eval_finite(num: Poly, den: Poly, z: complex) -> SpherePoint:
 
 
 def _normalize_pair(num: Poly, den: Poly):
-    """Scale so the denominator (or numerator) is monic; deterministic repr."""
+    """Scale so the (nonzero) denominator is monic; deterministic repr.  A
+    quotient that overflows is left to Poly's finiteness rule."""
     lead = den.coeffs[-1]
-    if abs(lead) > 0:
+    with np.errstate(over="ignore", invalid="ignore"):
         return Poly(num.coeffs / lead), Poly(den.coeffs / lead)
-    lead = num.coeffs[-1]
-    return Poly(num.coeffs / lead), Poly(den.coeffs / lead)
 
 
 def _reduce_pair(num: Poly, den: Poly):

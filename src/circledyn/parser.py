@@ -1,99 +1,50 @@
 """Recursive-descent parser for map expressions in the variable z.
 
 Grammar:
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := base ('^' uint)?
-    base   := 'z' | number | '(' expr ')'
+    expr     := term (('+'|'-') term)*
+    term     := factor (('*'|'/') factor)*
+    factor   := base ('^' exponent)?
+    base     := 'z' | number | '(' expr ')'
+    number   := (digits ['.' [digits]] | '.' digits) [('e'|'E') ['+'|'-'] digits]
+    exponent := digits, at most DEGREE_CAP
 
-Every node evaluates to a rational map; parse errors carry the byte offset.
+Blanks (str.isspace) may stand between tokens; digits are Unicode decimal
+digits.  Every node evaluates to a rational map, and sums, products and
+quotients are reduced to lowest terms.  A power is not reduced again: a
+root shared by a^e and b^e would be a root shared by a and b.  A
+coefficient that is not finite, say an overflowing literal, is an error
+(`Poly`); parse errors carry the offset of the offending token.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import re
 
 import numpy as np
 
 from .algebra import DEGREE_CAP, Poly, RationalMap
 from .errors import CircledynError, DegreeCapExceeded, DivisionByZeroPolynomial, MapSyntaxError
 
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None, self.pos
-        return self.text[self.pos], self.pos
-
-    def take(self):
-        ch, pos = self.peek()
-        if ch is not None:
-            self.pos += 1
-        return ch, pos
-
-    def number(self):
-        self._skip_ws()
-        start = self.pos
-        seen_digit = seen_dot = False
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isdigit():
-                seen_digit = True
-            elif ch == "." and not seen_dot:
-                seen_dot = True
-            elif ch in "eE" and seen_digit:
-                nxt = self.text[self.pos + 1 : self.pos + 2]
-                if nxt.isdigit() or nxt in "+-":
-                    self.pos += 2 if nxt in "+-" else 1
-                    while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                        self.pos += 1
-                    self.pos -= 1
-                else:
-                    break
-            else:
-                break
-            self.pos += 1
-        if not seen_digit:
-            raise MapSyntaxError("expected a number", start)
-        value = float(self.text[start : self.pos])
-        if not math.isfinite(value):
-            raise MapSyntaxError("number out of floating-point range", start)
-        return value, start
-
-    def uint(self):
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise MapSyntaxError("expected a nonnegative integer exponent", start)
-        return int(self.text[start : self.pos]), start
+_BLANKS = re.compile(r"\s*")
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_EXPONENT = re.compile(r"\d+")
 
 
-def _check_cap(m: RationalMap, offset: int) -> RationalMap:
+def _check_cap(m: RationalMap) -> RationalMap:
     if m.degree > DEGREE_CAP:
         raise DegreeCapExceeded(f"expression degree {m.degree} exceeds {DEGREE_CAP}")
     return m
 
 
-def _mul(a: RationalMap, b: RationalMap, offset: int) -> RationalMap:
-    return _check_cap(RationalMap(a.num * b.num, a.den * b.den), offset)
+def _mul(a: RationalMap, b: RationalMap, reduce=True) -> RationalMap:
+    return _check_cap(RationalMap(a.num * b.num, a.den * b.den, reduce))
 
 
 def _div(a: RationalMap, b: RationalMap, offset: int) -> RationalMap:
     if b.num.is_zero:
         raise DivisionByZeroPolynomial(f"division by zero polynomial at offset {offset}")
-    return _check_cap(RationalMap(a.num * b.den, a.den * b.num), offset)
+    return _check_cap(RationalMap(a.num * b.den, a.den * b.num))
 
 
 def _add(a: RationalMap, b: RationalMap, sign: float) -> RationalMap:
@@ -103,68 +54,81 @@ def _add(a: RationalMap, b: RationalMap, sign: float) -> RationalMap:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tok = _Tokenizer(text)
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        """The next non-blank character (None at the end) and its offset."""
+        self.pos = _BLANKS.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1] or None, self.pos
+
+    def accept(self, chars: str):
+        """The next non-blank character, consumed if it is one of chars, else None."""
+        ch, _ = self.peek()
+        if ch is None or ch not in chars:
+            return None
+        self.pos += 1
+        return ch
+
+    def scan(self, token: re.Pattern):
+        """The token after the blanks at the cursor, consumed; None if there is none."""
+        match = token.match(self.text, self.peek()[1])
+        if match:
+            self.pos = match.end()
+        return match and match.group()
 
     def parse(self) -> RationalMap:
         value = self.expr()
-        ch, pos = self.tok.peek()
+        ch, pos = self.peek()
         if ch is not None:
             raise MapSyntaxError(f"unexpected character {ch!r}", pos)
         return value
 
     def expr(self) -> RationalMap:
         value = self.term()
-        while True:
-            ch, _ = self.tok.peek()
-            if ch in ("+", "-"):
-                self.tok.take()
-                rhs = self.term()
-                value = _add(value, rhs, 1.0 if ch == "+" else -1.0)
-            else:
-                return value
+        while ch := self.accept("+-"):
+            value = _add(value, self.term(), 1.0 if ch == "+" else -1.0)
+        return value
 
     def term(self) -> RationalMap:
         value = self.factor()
-        while True:
-            ch, pos = self.tok.peek()
-            if ch == "*":
-                self.tok.take()
-                value = _mul(value, self.factor(), pos)
-            elif ch == "/":
-                self.tok.take()
-                value = _div(value, self.factor(), pos)
-            else:
-                return value
+        while ch := self.accept("*/"):
+            pos = self.pos - 1
+            value = _mul(value, self.factor()) if ch == "*" else _div(value, self.factor(), pos)
+        return value
 
     def factor(self) -> RationalMap:
         base = self.base()
-        ch, pos = self.tok.peek()
-        if ch == "^":
-            self.tok.take()
-            exponent, _ = self.tok.uint()
-            result = RationalMap([1.0], [1.0], reduce=False)
-            for _ in range(exponent):
-                result = _mul(result, base, pos)
-            return result
-        return base
+        if not self.accept("^"):
+            return base
+        digits = self.scan(_EXPONENT)
+        if digits is None:
+            raise MapSyntaxError("expected a nonnegative integer exponent", self.pos)
+        try:
+            exponent = int(digits)
+        except ValueError:  # more digits than int() reads
+            raise DegreeCapExceeded(f"exponent of {len(digits)} digits exceeds {DEGREE_CAP}") from None
+        if exponent > DEGREE_CAP:
+            raise DegreeCapExceeded(f"exponent {exponent} exceeds {DEGREE_CAP}")
+        result = RationalMap([1.0], [1.0], reduce=False)
+        for _ in range(exponent):
+            result = _mul(result, base, reduce=False)
+        return result
 
     def base(self) -> RationalMap:
-        ch, pos = self.tok.peek()
+        if self.accept("z"):
+            return RationalMap([0.0, 1.0], [1.0], reduce=False)
+        if self.accept("("):
+            inner = self.expr()
+            if not self.accept(")"):
+                raise MapSyntaxError("expected ')'", self.pos)
+            return inner
+        number = self.scan(_NUMBER)
+        if number is not None:
+            return RationalMap([float(number)], [1.0], reduce=False)
+        ch, pos = self.peek()
         if ch is None:
             raise MapSyntaxError("unexpected end of input", pos)
-        if ch == "z":
-            self.tok.take()
-            return RationalMap([0.0, 1.0], [1.0], reduce=False)
-        if ch == "(":
-            self.tok.take()
-            inner = self.expr()
-            ch2, pos2 = self.tok.take()
-            if ch2 != ")":
-                raise MapSyntaxError("expected ')'", pos2)
-            return inner
-        if ch.isdigit() or ch == ".":
-            value, _ = self.tok.number()
-            return RationalMap([value], [1.0], reduce=False)
         raise MapSyntaxError(f"unexpected character {ch!r}", pos)
 
 
@@ -208,6 +172,4 @@ def map_from_coeff_json(text: str) -> RationalMap:
         den = np.array([complex(re, im) for re, im in data["den"]], dtype=complex)
     except (ValueError, KeyError, TypeError) as exc:
         raise CircledynError(f"malformed coefficient JSON: {exc!r}") from exc
-    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
-        raise CircledynError("coefficient JSON holds a non-finite value")
     return RationalMap(num, den)

@@ -1,6 +1,7 @@
 import cmath
 import decimal
 import math
+import random
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from circledyn import (
     INF,
     Moebius,
     Poly,
+    RationalMap,
     SpherePoint,
     conjugate,
     critical_points,
@@ -34,6 +36,7 @@ from circledyn.algebra import (
 from circledyn.classifier import lattes_doubling_map
 from circledyn.dynamics import periodic_points
 from circledyn.errors import (
+    CircledynError,
     DegreeCapExceeded,
     MapSyntaxError,
     NotOdd,
@@ -149,6 +152,54 @@ def test_parse_error_offset():
     with pytest.raises(MapSyntaxError) as err:
         parse_map("z^2 + $")
     assert err.value.offset == 6
+
+
+def test_parse_exponent_cap():
+    # an exponent above the cap fails before it multiplies, whatever the base
+    for text in ("1^4097", "z^4097", "2^1000000", "z^" + "9" * 5000):
+        with pytest.raises(DegreeCapExceeded):
+            parse_map(text)
+
+
+def test_parse_refuses_coefficients_that_are_not_finite():
+    # an overflow is refused wherever it happens, not read as a dropped term
+    for text in ("1e400*z^2", "z^2+1e308*1e308", "(1e300*z)^2", "2^2000*z^2", "1e200*z^2/(1e-200)", "1e308+1e308"):
+        with pytest.raises(CircledynError, match="a polynomial coefficient is not finite"):
+            parse_map(text)
+
+
+@pytest.mark.parametrize("base", ["z^2-2", "(z^2-4)/(1+0.25*z)", "(2*z^2+1)/(3*z^2+z)", "(z-1)/(z+2)"])
+def test_parse_power_equals_the_product_chain_bit_for_bit(base):
+    # a power of a reduced map is reduced, so it is not reduced again
+    for k in range(1, 7):
+        f = parse_map(f"({base})^{k}")
+        g = parse_map("*".join([f"({base})"] * k))
+        assert f.num.coeffs.tobytes() == g.num.coeffs.tobytes()
+        assert f.den.coeffs.tobytes() == g.den.coeffs.tobytes()
+
+
+def map_fuzz_corpus(count, seed=1):
+    """count seeded random strings of map-expression atoms and operators,
+    well formed or not, with overflowing, superscript and Arabic-Indic digits."""
+    atoms = ["z", "2", "0.5", ".25", "1.", "3e2", "1.5E-3", "7", "1e400", ".", "e", "1e+", "²", "٣"]
+    atoms += [" ", " ", "\t", "$", "1e5e3", "10", "0.1", "1.1"]
+    ops = ["+", "-", "*", "/", "^", "(", ")", "^2", "^3", "^ 2", "^-1", "^z", "^1.5", "^٣", "^12"]
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choice(atoms if rng.random() < 0.55 else ops) for _ in range(rng.randint(1, 7)))
+        for _ in range(count)
+    ]
+
+
+def test_parse_fuzz_ends_in_a_map_or_a_package_error():
+    parsed = 0
+    for text in map_fuzz_corpus(2000):
+        try:
+            assert isinstance(parse_map(text), RationalMap)
+            parsed += 1
+        except CircledynError:
+            pass
+    assert parsed > 0
 
 
 def test_parse_roundtrip_identity_on_coefficients():

@@ -301,6 +301,14 @@ def test_near_line_constructed_polynomial_classifies(tmp_path, capsys):
     [
         pytest.param(["classify", "--map", "z"], {}, id="classify-degree-1"),
         pytest.param(["classify", "--map", "1e400*z^2+1"], {}, id="overflowing-literal"),
+        pytest.param(["classify", "--map", "1e+"], {}, id="literal-exponent-without-digits"),
+        pytest.param(["classify", "--map", "²"], {}, id="superscript-literal"),
+        pytest.param(["classify", "--map", "z^²"], {}, id="superscript-exponent"),
+        pytest.param(["classify", "--map", "1e5e3*z^2"], {}, id="literal-with-two-exponents"),
+        pytest.param(["classify", "--map", "z^2+1e308*1e308"], {}, id="overflowing-product"),
+        pytest.param(["classify", "--map", "(1e300*z)^2"], {}, id="overflowing-power"),
+        pytest.param(["classify", "--map", "1e200*z^2/(1e-200)"], {}, id="overflowing-quotient"),
+        pytest.param(["classify", "--map", "1^1000000"], {}, id="exponent-above-cap"),
         pytest.param(["julia", "--map", "z"], {}, id="julia-degree-1"),
         pytest.param(
             ["classify", "--coeffs", "{dir}/c.json"],
