@@ -9,16 +9,19 @@ The sphere bookkeeping every later stage needs lives here, once:
 
 - the chart rule: a point is read in the chart w = 1/z when it is infinity
   or |z| > 1, and in the plane chart otherwise (`chart_split`, on arrays,
-  with infinity read as w = 0); a map is read in a pair of charts through
-  `chart_coeffs`, a single point is flipped by `invert_point`, and a map is
-  applied to an array of points by `image_array`;
+  with infinity read as w = 0); a single point is flipped by
+  `invert_point`;
+- the chart table `chart_rows`, the one reading of a map in the plane and in
+  w = 1/z on the argument's side, which `image_array`, the reciprocal
+  chart, the derivatives, orbit data and preimage solvers of `dynamics` and
+  the signed degree of `geometry` all read;
 - the chordal metric, as the scalar `chordal_distance` and the broadcast
   array form `chordal_distances`, which round identically;
 - the coefficient kernels `pad_coeffs`, `deriv_coeffs`, `series_quotient`
   and the root clustering `cluster_roots`;
 - the per-map memo: a map is immutable after construction, and data derived
-  from it alone (periodic solutions, charts, critical points, poles) is
-  computed once, through `memoized`.
+  from it alone (periodic solutions, the chart table, critical points,
+  poles) is computed once, through `memoized`.
 
 Arrays of sphere points are complex arrays in which any non-finite entry
 is the point at infinity (`sphere_array`).
@@ -462,11 +465,12 @@ class RationalMap:
         return _eval_finite(self.num, self.den, z.value)
 
     def reciprocal_chart(self) -> "RationalMap":
-        """Conjugate by z -> 1/z (so infinity becomes the origin); coprime
-        as the map is, so coprimality is not solved again (`conjugate`)."""
+        """Conjugate by z -> 1/z (so infinity becomes the origin): the
+        `chart_rows` entry for w = 1/z with num and den swapped.  Coprime as
+        the map is, so coprimality is not solved again (`conjugate`)."""
         return memoized(
             self, "reciprocal_chart",
-            lambda: RationalMap(*chart_coeffs(self, True, True), reduce=False),
+            lambda: RationalMap(*chart_rows(self)[1, 1::-1], reduce=False),
         )
 
     def __repr__(self):
@@ -495,15 +499,22 @@ def memoized(f: RationalMap, key: str, compute):
     return value
 
 
-def chart_coeffs(f: RationalMap, in_inverted: bool, out_inverted: bool):
-    """Numerator and denominator coefficients (length deg f + 1) of f read
-    from one chart to another: True reads that side in the chart w = 1/z."""
-    d = f.degree
-    n = pad_coeffs(f.num.coeffs, d + 1)
-    m = pad_coeffs(f.den.coeffs, d + 1)
-    if in_inverted:
-        n, m = n[::-1].copy(), m[::-1].copy()
-    return (m, n) if out_inverted else (n, m)
+def chart_rows(f: RationalMap) -> np.ndarray:
+    """f read from each chart of its argument, as a (2, 4, deg f + 1) table:
+    entry 0 reads z in the plane, entry 1 in the chart w = 1/z, and each
+    holds the rows num, den, num' and den', zero-padded to deg f + 1, of
+    the image in the plane.  The image read in the chart 1/w swaps num with
+    den and num' with den'."""
+
+    def compute():
+        d = f.degree
+        plane = [pad_coeffs(p.coeffs, d + 1) for p in (f.num, f.den)]
+        return np.array([
+            [pad_coeffs(c, d + 1) for c in (num, den, deriv_coeffs(num), deriv_coeffs(den))]
+            for num, den in (plane, [c[::-1] for c in plane])
+        ])
+
+    return memoized(f, "chart-rows", compute)
 
 
 def image_array(f: RationalMap, z) -> np.ndarray:
@@ -512,9 +523,9 @@ def image_array(f: RationalMap, z) -> np.ndarray:
     inverted, u = chart_split(z)
     out = np.empty(len(u), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for flag in (False, True):
+        for flag, rows in enumerate(chart_rows(f)):
             sel = inverted == flag
-            num, den = horner_rows(np.array(chart_coeffs(f, flag, False)), u[sel])
+            num, den = horner_rows(rows[:2], u[sel])
             out[sel] = num / den
     out[~np.isfinite(out)] = math.inf
     return out
@@ -546,8 +557,8 @@ def _reduce_pair(num: Poly, den: Poly):
     from .roots import all_roots
 
     try:
-        rn = all_roots(num, 1e-12).roots
-        rd = all_roots(den, 1e-12).roots
+        rn = all_roots(num).roots
+        rd = all_roots(den).roots
     except RootFindingFailed:
         return num, den
     used = np.zeros(len(rd), dtype=bool)
@@ -624,7 +635,7 @@ def _critical_points(f: RationalMap):
     expected = 2 * d - 2
     pts = []
     if not w.is_zero and w.degree >= 1:
-        rs = all_roots(w, 1e-12)
+        rs = all_roots(w)
         scale = max(1.0, float(np.max(np.abs(w.coeffs))))
         for r, mult in zip(rs.roots, rs.multiplicities):
             if abs(w(r)) > 1e-9 * scale * max(1.0, abs(r)) ** w.degree:
@@ -642,7 +653,7 @@ def finite_poles(f: RationalMap) -> np.ndarray:
 
     if f.den.degree < 1:
         return np.zeros(0, dtype=complex)
-    return memoized(f, "finite_poles", lambda: all_roots(f.den, 1e-12).roots).copy()
+    return memoized(f, "finite_poles", lambda: all_roots(f.den).roots).copy()
 
 
 def even_part_lift(b: RationalMap) -> RationalMap:

@@ -322,8 +322,9 @@ def circle_case_classify(f: RationalMap, circle: GeneralizedCircle, cloud, rmt=N
     to the real line through the repelling period-1 and period-2 points; the
     interval I of cases II and III runs between solved periodic points or
     their preimages."""
-    anchors = _repelling_anchor_points(f)
-    inv = invariance_check(f, circle, anchors)
+    m1 = normalize_to_real_line(circle, _repelling_anchor_points(f))
+    g = _realified(conjugate(f, m1))
+    inv = invariance_check(f, circle, g)
     report = ClassificationReport(
         verdict="INCONCLUSIVE",
         degree=f.degree,
@@ -332,9 +333,6 @@ def circle_case_classify(f: RationalMap, circle: GeneralizedCircle, cloud, rmt=N
         circle_residual=containment_residual(circle, cloud),
         residuals={"forward_invariance": inv["forward_residual"], "complete_invariance": inv["preimage_residual"]},
     )
-
-    m1 = normalize_to_real_line(circle, anchors)
-    g = _realified(conjugate(f, m1))
 
     if not real_critical_points(g) or inv["completely_invariant"]:
         report.verdict = "CIRCLE_CASE_I"
@@ -347,12 +345,16 @@ def circle_case_classify(f: RationalMap, circle: GeneralizedCircle, cloud, rmt=N
         report.swap_components = inv["real_line_degree"] < 0
         return report
 
-    # locate x0: a real fixed point with multiplier in [-1, 1]
-    x0 = _select_x0(f, m1, g)
-    if x0 is None:
-        report.inconclusive_reason = "no real fixed point with multiplier in [-1, 1]"
+    # locate x0: the real fixed point with multiplier in [-1, 1]
+    candidates = _x0_candidates(f, m1)
+    if len(candidates) != 1:
+        report.inconclusive_reason = (
+            f"{len(candidates)} real fixed points with multiplier in [-1, 1], not one"
+            if candidates
+            else "no real fixed point with multiplier in [-1, 1]"
+        )
         return report
-    x0_orbit, lam, x0_g = x0
+    [(x0_orbit, lam, x0_g)] = candidates
 
     m_total = m1
     if not x0_g.infinite:
@@ -422,10 +424,12 @@ def _julia_fills_circle(f: RationalMap, circle: GeneralizedCircle) -> bool:
     return True
 
 
-def _select_x0(f: RationalMap, m1: Moebius, g: RationalMap):
-    """A fixed point of f on the circle (real or infinite under m1) with its
-    multiplier in [-1, 1], as (orbit, multiplier, image under m1); None when
-    there is none.  A multiple fixed point is parabolic, with multiplier 1."""
+def _x0_candidates(f: RationalMap, m1: Moebius) -> list:
+    """The fixed points of f on the circle (real or infinite under m1) with
+    multiplier in [-1, 1], as (orbit, multiplier, image under m1).  A
+    multiple fixed point is parabolic, with multiplier 1.  J is a proper
+    part of the circle here, so the Fatou set is connected and holds at most
+    one attracting or parabolic cycle: one candidate is expected."""
     candidates = []
     for orbit in periodic_points(f, 1):
         p = m1(orbit.points[0])
@@ -434,19 +438,7 @@ def _select_x0(f: RationalMap, m1: Moebius, g: RationalMap):
         lam = 1.0 + 0.0j if _multiplicity(f, orbit, 1) > 1 else orbit.multiplier
         if abs(lam.imag) <= 1e-6 and abs(lam.real) <= 1.0 + PARABOLIC_BAND:
             candidates.append((orbit, lam, p))
-    if not candidates:
-        return None
-    if len(candidates) > 1:
-        # several admissible fixed points: follow the orbit of an off-line point
-        z = SpherePoint.of(0.61 + 1.1j)
-        for _ in range(400):
-            z = g(z)
-            for orbit, lam, p in candidates:
-                if chordal_distance(z, p) <= 1e-6:
-                    return orbit, lam, p
-        # fall back to the most attracting candidate
-        candidates.sort(key=lambda t: (abs(t[1]), t[2].sort_key()))
-    return candidates[0]
+    return candidates
 
 
 def _interval_endpoints(f: RationalMap, m: Moebius, x0_orbit):

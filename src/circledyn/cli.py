@@ -35,8 +35,6 @@ from .realjulia import (
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
-EXIT_NO_REAL_STRUCTURE = 4
 EXIT_IO = 5
 
 

@@ -28,7 +28,7 @@ from .algebra import (
     Poly,
     RationalMap,
     SpherePoint,
-    chart_coeffs,
+    chart_rows,
     chart_split,
     chordal_distance,
     chordal_distances,
@@ -37,7 +37,6 @@ from .algebra import (
     _modulus,
     _substitute,
     cluster_roots,
-    deriv_coeffs,
     horner_rows,
     image_array,
     memoized,
@@ -70,44 +69,27 @@ CLOSED_FORM_ROWS = 256  # batch width from which closed-form cubic/quartic roots
 # chart-aware derivatives
 
 
-def _chart_slopes(f: RationalMap) -> "_ChartSlopes":
-    return memoized(f, "chart_slopes", lambda: _ChartSlopes(f))
-
-
-class _ChartSlopes:
-    """Derivatives of f read from the chart of each point to the chart of
-    its image, with the chart rule of `chart_split`, on arrays."""
-
-    def __init__(self, f: RationalMap):
-        self.pairs = {
-            key: _value_and_slope_rows(*chart_coeffs(f, *key))
-            for key in ((False, False), (False, True), (True, False), (True, True))
-        }
-
-    def __call__(self, z_inverted, w_inverted, u) -> np.ndarray:
-        out = np.empty(len(u), dtype=complex)
-        for (zi, wi), rows in self.pairs.items():
-            sel = (z_inverted == zi) & (w_inverted == wi)
-            if not sel.any():
-                continue
-            nv, dv, npv, dpv = horner_rows(rows, u[sel])
+def _chart_slopes(f: RationalMap, z_inverted, w_inverted, u) -> np.ndarray:
+    """Derivatives of f at the points u, read from the chart of each point
+    (`z_inverted`, the rule of `chart_split`) to the chart of its image
+    (`w_inverted`): one `horner_rows` pass per pair of charts, on the rows
+    of `chart_rows` with num and den, num' and den' swapped where the image
+    is inverted."""
+    out = np.empty(len(u), dtype=complex)
+    for flag, rows in enumerate(chart_rows(f)):
+        for flip in (False, True):
+            sel = (z_inverted == flag) & (w_inverted == flip)
+            nv, dv, npv, dpv = horner_rows(rows[[1, 0, 3, 2]] if flip else rows, u[sel])
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 slope = (npv * dv - nv * dpv) / (dv * dv)
             out[sel] = np.where(dv == 0, math.inf, slope)
-        return out
-
-
-def _value_and_slope_rows(num, den) -> np.ndarray:
-    """Numerator, denominator and their derivatives as the padded rows of
-    one `horner_rows` pass."""
-    rows = (num, den, deriv_coeffs(num), deriv_coeffs(den))
-    return np.array([pad_coeffs(c, max(map(len, rows))) for c in rows])
+    return out
 
 
 def cycle_multiplier(f: RationalMap, points) -> complex:
     """Chain-rule multiplier along a cycle, chart-corrected at infinity/poles."""
     inverted, u = chart_split(sphere_array(points))
-    return _product(_chart_slopes(f)(inverted, np.roll(inverted, -1), u))
+    return _product(_chart_slopes(f, inverted, np.roll(inverted, -1), u))
 
 
 def _product(slopes: np.ndarray) -> complex:
@@ -125,16 +107,11 @@ def preimage_points(f: RationalMap, z):
     return [SpherePoint.of(w) for w in _preimage_values(f, None if z.infinite else z.value)]
 
 
-def _preimage_coeffs(f: RationalMap):
-    """Numerator and denominator coefficients, both of length deg f + 1."""
-    return memoized(f, "preimage-coeffs", lambda: chart_coeffs(f, False, False))
-
-
 def _preimage_values(f: RationalMap, z) -> list:
     """All d preimages of z (a complex, or None for infinity) with
     multiplicity: the finite ones sorted by (re, im), then None for each one
     at infinity (a root that overflows included)."""
-    nc, dc = _preimage_coeffs(f)
+    nc, dc = chart_rows(f)[0, :2]
     d = len(nc) - 1
     if z is None:
         c = dc
@@ -309,13 +286,13 @@ def _fixed_point_solutions(f: RationalMap) -> np.ndarray:
         raise RootFindingFailed("identity map has no isolated fixed points")
     if p.degree < 1:
         return np.zeros(0, dtype=complex)
-    return all_roots(p, 1e-13).roots
+    return all_roots(p).roots
 
 
 def _orbit_data(f: RationalMap, z: np.ndarray, n: int):
     """Forward data for F(z) = f^n(z) - z: value, (f^n)', denominator log-deriv."""
     d = f.degree
-    rows = memoized(f, "orbit-rows", lambda: _value_and_slope_rows(f.num.coeffs, f.den.coeffs))
+    rows = chart_rows(f)[0]
     w = z.astype(complex)
     lam = np.ones_like(w)
     dlog = np.zeros_like(w)
@@ -546,7 +523,7 @@ def _close_orbits(f, n, new, pool, known_total):
         raise RootFindingFailed(f"period-{n} solutions are not permuted by the map")
     points = _sphere_points(new)
     inverted, u = chart_split(new)
-    slopes = _chart_slopes(f)(inverted, inverted[succ], u)
+    slopes = _chart_slopes(f, inverted, inverted[succ], u)
     orbits = []
     seen = np.zeros(len(new), dtype=bool)
     # real parts equal to within rounding tie, so conjugate orbits are
@@ -803,7 +780,7 @@ def _spherical_log_derivatives(f: RationalMap, points) -> np.ndarray:
     z = sphere_array(points)
     z_inv, u = chart_split(z)
     w_inv, v = chart_split(image_array(f, z))
-    slopes = _chart_slopes(f)(z_inv, w_inv, u)
+    slopes = _chart_slopes(f, z_inv, w_inv, u)
     with np.errstate(invalid="ignore", over="ignore"):
         mag = (
             _modulus(slopes)
@@ -938,7 +915,7 @@ def _preimage_rows(f, z):
     (infinity as inf), solved as a batch: by the quadratic formula at
     degree 2, else `_monic_roots`.  The other rows (infinity, a vanishing
     leading coefficient) take `_preimage_values`."""
-    nc, dc = _preimage_coeffs(f)
+    nc, dc = chart_rows(f)[0, :2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coeffs = nc[None, :] - z[:, None] * dc[None, :]
         if len(nc) == 3:

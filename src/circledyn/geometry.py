@@ -21,7 +21,7 @@ from .algebra import (
     RationalMap,
     SpherePoint,
     _modulus,
-    chart_coeffs,
+    chart_rows,
     chart_split,
     chordal_distances,
     conjugate,
@@ -201,16 +201,18 @@ def _well_separated_triple(points):
     return z[0], z[second], z[third]
 
 
-def invariance_check(f: RationalMap, circle: GeneralizedCircle, points=None) -> dict:
+def invariance_check(f: RationalMap, circle: GeneralizedCircle, g: RationalMap = None) -> dict:
     """Complete invariance of the circle under f, decided by the signed degree
-    of f normalized to the real line through `points` on the circle (see
-    `normalize_to_real_line`).  The residuals of mapped circle samples and of
-    the preimages of circle samples are evidence only."""
+    of g, f normalized to the real line (by default through seven samples of
+    the circle, `normalize_to_real_line`).  The residuals of mapped circle
+    samples and of the preimages of circle samples are evidence only."""
     images = image_array(f, circle.sample_points(FORWARD_SAMPLES))
     fwd_res = float(np.max(residuals(circle, images)))
     pre = _preimage_rows(f, circle.sample_points(PREIMAGE_SAMPLES))
     pre_res = float(np.max(residuals(circle, pre.reshape(-1))))
-    degree = real_line_degree(conjugate(f, normalize_to_real_line(circle, points)))
+    if g is None:
+        g = conjugate(f, normalize_to_real_line(circle))
+    degree = real_line_degree(g)
     return {
         "forward_residual": fwd_res,
         "preimage_residual": pre_res,
@@ -247,7 +249,7 @@ def real_line_degree(g: RationalMap) -> int:
     read, so the rounding-level imaginary parts of a conjugate do not matter."""
     crit_values = sphere_array([g(p) for p in critical_points(g)])
     y = max(DEGREE_PROBES, key=lambda t: np.min(chordal_distances(t, crit_values), initial=2.0))
-    num, den = (c.real for c in chart_coeffs(g, False, False))
+    num, den = chart_rows(g)[0, :2].real
     p = (num - y * den)[::-1]
     degree = 0
     if abs(p[0]) <= COEFF_DROP_TOL * np.max(np.abs(p)):

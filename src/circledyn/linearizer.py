@@ -82,22 +82,23 @@ def local_taylor(f: RationalMap, p, order: int):
 
 @dataclass
 class LinearizerSeries:
+    """Psi at base_point, read in the chart w = 1/z when that is infinity."""
+
     base_point: SpherePoint
     multiplier: complex
     coeffs: np.ndarray  # psi_1..psi_M, psi_1 = 1
     conv_radius_estimate: float
-    chart_inverted: bool = False  # series read in the chart w = 1/z
 
 
 def _chart_map(s: LinearizerSeries, f: RationalMap) -> RationalMap:
     """f read in the chart of the base point."""
-    return f.reciprocal_chart() if s.chart_inverted else f
+    return f.reciprocal_chart() if s.base_point.infinite else f
 
 
 def _chart_poly(s: LinearizerSeries) -> np.ndarray:
     """The truncated Psi in the chart of the base point: the base point's
     coordinate there, then psi_1..psi_M."""
-    base = 0.0 if s.chart_inverted else s.base_point.value
+    base = 0.0 if s.base_point.infinite else s.base_point.value
     return np.concatenate([[base], s.coeffs])
 
 
@@ -127,7 +128,6 @@ def poincare_coeffs(f: RationalMap, p, order: int = DEFAULT_ORDER) -> Linearizer
         multiplier=lam,
         coeffs=coeffs,
         conv_radius_estimate=_radius_estimate(coeffs),
-        chart_inverted=p.infinite,
     )
 
 
@@ -163,7 +163,7 @@ def poincare_values(s: LinearizerSeries, f: RationalMap, z) -> np.ndarray:
     g = _chart_map(s, f)
     for k in range(int(n.max(initial=0))):
         val[n > k] = image_array(g, val[n > k])
-    if s.chart_inverted:
+    if s.base_point.infinite:
         val = _reciprocal(val)
     val[~np.isfinite(val)] = math.inf
     return val
@@ -188,15 +188,13 @@ def _shrink(s: LinearizerSeries, z):
         n[big] += 1
 
 
-def functional_equation_residual(
-    s: LinearizerSeries, f: RationalMap, samples: int = 100, radius: float = None
-) -> float:
-    """max |Psi(lambda z) - f(Psi(z))| over a circle of given radius, by
-    default r / max(4, 2|lambda|) for the radius estimate r, so that lambda z
-    stays inside r/2."""
+def functional_equation_residual(s: LinearizerSeries, f: RationalMap, radius: float = None) -> float:
+    """max |Psi(lambda z) - f(Psi(z))| over 100 points of a circle of given
+    radius, by default r / max(4, 2|lambda|) for the radius estimate r, so
+    that lambda z stays inside r/2."""
     if radius is None:
         radius = s.conv_radius_estimate / max(4.0, 2.0 * abs(s.multiplier))
-    z = radius * np.exp(2j * np.pi * (np.arange(samples) + 0.5) / samples)
+    z = radius * np.exp(2j * np.pi * (np.arange(100) + 0.5) / 100)
     series = _chart_poly(s)
     lhs = polyval(series, s.multiplier * z)
     rhs = image_array(_chart_map(s, f), polyval(series, z))
@@ -322,14 +320,14 @@ def _psi_derivative(s: LinearizerSeries, g: RationalMap, z: np.ndarray) -> np.nd
     return out
 
 
-def periodic_shadow_witness(s: LinearizerSeries, f: RationalMap, n: int, q_solution=None) -> dict:
+def periodic_shadow_witness(s: LinearizerSeries, f: RationalMap, n: int) -> dict:
     """Look for a repelling period-n point near Psi(lambda^{-n} Q), where Q is
-    a nonzero solution of Psi = p; search radius 10 |Q| |lambda|^{-n}."""
-    if q_solution is None:
-        wit = nonvanishing_witness(s, f, count=1)
-        if not wit["solutions"]:
-            return {"found": False, "reason": "no base solution for Q"}
-        q_solution = complex(*wit["solutions"][0])
+    the first nonzero solution of Psi = p that `nonvanishing_witness` finds;
+    search radius 10 |Q| |lambda|^{-n}."""
+    wit = nonvanishing_witness(s, f, count=1)
+    if not wit["solutions"]:
+        return {"found": False, "reason": "no base solution for Q"}
+    q_solution = complex(*wit["solutions"][0])
     lam = s.multiplier
     target = poincare_eval(s, f, q_solution * lam ** (-n))
     radius = 10.0 * abs(q_solution) * abs(lam) ** (-n)

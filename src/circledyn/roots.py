@@ -75,9 +75,9 @@ def all_roots(p, tol: float = 1e-12) -> RootSet:
     )
 
 
-def roots_with_multiplicity(p, tol: float = 1e-12) -> np.ndarray:
+def roots_with_multiplicity(p) -> np.ndarray:
     """Flat root array, each root repeated to its multiplicity."""
-    rs = all_roots(p, tol)
+    rs = all_roots(p)
     out = []
     for r, m in zip(rs.roots, rs.multiplicities):
         out.extend([r] * m)

@@ -162,7 +162,7 @@ def test_criterion_4_linearizer():
     fact = np.array([1.0 / math.factorial(n) for n in range(1, 21)])
     coeff_err = float(np.max(np.abs(s.coeffs[:20] - fact)))
     ok &= coeff_err <= 1e-10
-    resid = functional_equation_residual(s, f, samples=100)
+    resid = functional_equation_residual(s, f)
     ok &= resid < 1e-8
     rho_f, rho_m = valiron_order(s, f)
     ok &= rho_f == pytest.approx(1.0) and abs(rho_m - 1.0) <= 0.1
@@ -171,7 +171,7 @@ def test_criterion_4_linearizer():
     sg = poincare_coeffs(g, 1.0, 64)
     rho_f2, rho_m2 = valiron_order(sg, g)
     ok &= rho_f2 == pytest.approx(0.5) and abs(rho_m2 - 0.5) <= 0.1
-    resid2 = functional_equation_residual(sg, g, samples=100)
+    resid2 = functional_equation_residual(sg, g)
     ok &= resid2 < 1e-8
 
     report(

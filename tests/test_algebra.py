@@ -20,6 +20,7 @@ from circledyn import (
     parse_map,
 )
 from circledyn.algebra import (
+    chart_rows,
     chart_split,
     chordal_distance,
     chordal_distances,
@@ -33,7 +34,7 @@ from circledyn.algebra import (
     polyval,
     sphere_array,
 )
-from circledyn.classifier import lattes_doubling_map
+from circledyn.classifier import dichotomy_verdict, lattes_doubling_map
 from circledyn.dynamics import periodic_points
 from circledyn.errors import (
     CircledynError,
@@ -444,3 +445,42 @@ def test_horner_rows_equal_polyval_row_by_row(name, m):
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(row), nan) and np.array_equal(np.isinf(row), np.isinf(want))
         assert np.array_equal(row[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+CHART_MAPS = {
+    "z^2-2": parse_map("z^2-2"),
+    "conjugate": conjugate(parse_map("z^2-2"), Moebius(0.3 - 0.7j, 0.3 - 0.2j, 0.03 - 0.5j, 0.5 + 0.6j)),
+    "lattes": lattes_doubling_map(),
+    "1/z^3": parse_map("1/z^3"),
+}
+
+
+@pytest.mark.parametrize("name", list(CHART_MAPS))
+def test_chart_rows_read_the_map_between_each_pair_of_charts(name):
+    # entry 0 reads the argument z = x, entry 1 z = 1/x; the rows num/den
+    # give the image, den/num its reciprocal, and num', den' their slopes
+    f = CHART_MAPS[name]
+    table = chart_rows(f)
+    assert table.shape == (2, 4, f.degree + 1)
+    assert chart_rows(f) is table
+    h = 1e-6
+    for in_inverted, rows in enumerate(table):
+        for swap in (False, True):
+            num, den, dnum, dden = rows[[1, 0, 3, 2]] if swap else rows
+
+            def image(x):
+                z = f(SpherePoint.of(1.0 / x if in_inverted else x)).value
+                return 1.0 / z if swap else z
+
+            for x in (0.3 + 0.4j, -0.7 + 0.1j, 0.05 - 0.6j, 0.9j):
+                n, d = polyval(num, x), polyval(den, x)
+                assert n / d == pytest.approx(image(x), rel=1e-12)
+                slope = (polyval(dnum, x) * d - n * polyval(dden, x)) / (d * d)
+                assert slope == pytest.approx((image(x + h) - image(x - h)) / (2 * h), rel=1e-6)
+
+
+def test_a_classify_memoizes_one_chart_table():
+    f = parse_map("z^2-2")
+    dichotomy_verdict(f, n_max=3)
+    assert "chart-rows" in f.memo
+    assert not {"chart_slopes", "preimage-coeffs", "orbit-rows"} & set(f.memo)

@@ -498,6 +498,17 @@ def test_circle_case_failure_is_inconclusive(monkeypatch):
     assert rep.real_multiplier["table"]
 
 
+def test_two_candidates_for_x0_end_inconclusive(monkeypatch):
+    # z^2 - 2 has one: the superattracting infinity.  With its fixed points
+    # listed twice, the circle case finds two and names the count
+    solve = classifier.periodic_points
+    monkeypatch.setattr(classifier, "periodic_points", lambda f, n: solve(f, n) * (2 if n == 1 else 1))
+    rep = dichotomy_verdict(parse_map("z^2-2"), n_max=3)
+    assert (rep.verdict, rep.exit_code) == ("INCONCLUSIVE", 3)
+    assert rep.inconclusive_reason == "2 real fixed points with multiplier in [-1, 1], not one"
+    assert rep.x0 is None
+
+
 def test_period_degree_cap_ends_inconclusive(monkeypatch):
     # period 4 of a quadratic needs degree 2^4 + 1 = 17
     monkeypatch.setattr(dynamics, "PERIOD_DEGREE_CAP", 9)

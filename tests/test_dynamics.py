@@ -13,6 +13,7 @@ from circledyn.algebra import (
     INF,
     RationalMap,
     SpherePoint,
+    chart_rows,
     chart_split,
     chordal_distance,
     chordal_distances,
@@ -504,7 +505,7 @@ def _scalar_chi(f, points):
     spherical metric, with f evaluated at each SpherePoint."""
     z_inv, u = chart_split(sphere_array(points))
     w_inv, v = chart_split(sphere_array(f(p) for p in points))
-    slopes = dynamics._chart_slopes(f)(z_inv, w_inv, u).tolist()
+    slopes = dynamics._chart_slopes(f, z_inv, w_inv, u).tolist()
     logs = [
         math.log(abs(s) * (1.0 + abs(a) ** 2) / (1.0 + abs(b) ** 2))
         for a, b, s in zip(u.tolist(), v.tolist(), slopes)
@@ -1014,7 +1015,7 @@ def test_neighbour_kernel_memory_is_linear_in_the_points():
 
 def _monic_preimage_rows(f, zs):
     """Monic ascending rows of num(w) - z den(w), one per value z."""
-    nc, dc = dynamics._preimage_coeffs(f)
+    nc, dc = chart_rows(f)[0, :2]
     c = nc[None, :] - np.asarray(zs, dtype=complex)[:, None] * dc[None, :]
     return c / c[:, -1:]
 
